@@ -1,8 +1,11 @@
-"""Build script for the optional compiled kernel extension.
+"""Build script for the optional compiled kernels.
 
-The package works without the extension (a pure-Python fallback is
-selected at import time), so a failed compile downgrades to a warning
-instead of aborting the install.
+`kernels.c` is plain C with no Python.h: it becomes a shared library
+that `modsquares._kernels._ckernels` loads with ctypes.  setuptools
+only drives the C compiler here (`python -m modsquares._kernels.build`
+does the same with `cc` alone).  The package works without the library
+(a pure-Python fallback is selected at import time), so a failed
+compile downgrades to a warning instead of aborting the install.
 """
 
 import warnings
@@ -10,14 +13,9 @@ import warnings
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
 
 class optional_build_ext(build_ext):
-    """Give up on the extension (with a warning) if the compile fails."""
+    """Give up on the library (with a warning) if the compile fails."""
 
     def run(self):
         try:
@@ -39,26 +37,11 @@ class optional_build_ext(build_ext):
         )
 
 
-extensions = [
-    Extension(
-        "modsquares._kernels._ckernels",
-        ["src/modsquares/_kernels/_ckernels.pyx"],
-        extra_compile_args=["-O3"],
-    )
-]
+# Builds `LIBRARY` of _kernels/__init__.py, which explains the name.
+kernels = Extension(
+    "modsquares._kernels.kernels",
+    ["src/modsquares/_kernels/kernels.c"],
+    extra_compile_args=["-O3", "-Wall", "-Wextra"],
+)
 
-if cythonize is not None:
-    ext_modules = cythonize(
-        extensions,
-        compiler_directives={
-            "language_level": "3",
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-        },
-    )
-else:
-    warnings.warn("Cython not found; installing with the pure-Python backend only")
-    ext_modules = []
-
-setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})
+setup(ext_modules=[kernels], cmdclass={"build_ext": optional_build_ext})

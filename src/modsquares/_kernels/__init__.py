@@ -1,12 +1,21 @@
 """Kernel backend selection.
 
-The compiled extension is used when it imported cleanly at build time;
-otherwise the pure-Python twin takes over.  Both expose the same
-functions with bit-identical output, so everything above this package
-is backend-agnostic.  `BACKEND` reports which one is active.
+The compiled kernels (`kernels.c`, loaded by `_ckernels` with ctypes)
+are used when their library has been built and loads; otherwise the
+pure-Python twin takes over.  Both expose the same functions with
+bit-identical output, so everything above this package is
+backend-agnostic.  `BACKEND` reports which one is active.  Build the
+library with `python -m modsquares._kernels.build`.
 """
 
+import os
+from importlib.machinery import EXTENSION_SUFFIXES
+
 from . import _pykernels
+
+#: The shared library built from kernels.c.  Not named `_ckernels`: a
+#: library of that name would shadow the ctypes wrapper on import.
+LIBRARY = os.path.join(os.path.dirname(__file__), "kernels" + EXTENSION_SUFFIXES[0])
 
 try:
     from . import _ckernels

@@ -104,13 +104,16 @@ def inversion_summary(p: int | OddPrime) -> InversionSummary:
     Sample statistics use the n-1 denominator.  The sample mean always
     lands exactly on the theoretical mean: inverse roots give reversed
     cycles whose counts sum to the fixed total (p-2)(p-3)/2.
+
+    Cycles go to the kernel unvalidated: `generator_cycle` has already
+    checked that each one is a permutation of 1..p-1, and p < 2**63.
     """
     p = prime_value(p)
     theory_mean, theory_var = inversion_null_moments(p)
     per_root = []
     for g in primitive_roots(p):
         cycle = generator_cycle(g, p)
-        per_root.append((g, count_inversions(cycle.states)))
+        per_root.append((g, _kernels.count_inversions(cycle.states)))
     counts = [c for _, c in per_root]
     sample_mean = Fraction(sum(counts), len(counts))
     sample_var = _exact_sample_variance(counts)

@@ -1,9 +1,19 @@
 """Backend parity: the compiled kernels must match the pure-Python twin bit for bit."""
 
+import ctypes
+import shutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
-from modsquares._kernels import available_backends, backend_module
+import modsquares
+from modsquares._kernels import available_backends, backend_module, build
+from modsquares.permstats import SimConfig, simulate_inversions
 from modsquares.rng import SplitMix64, stream_seeds
+from modsquares.runstats import simulate_runs
 
 pure = backend_module("python")
 
@@ -71,7 +81,8 @@ class TestBackendParity:
             assert compiled.count_inversions(values) == pure.count_inversions(values)
 
     def test_legendre_symbols(self, compiled):
-        for p in (3, 5, 7, 11, 8191, 9973):
+        # 1, 2, 9 and 15 also reach the kernel's non-prime corners
+        for p in (1, 2, 3, 5, 7, 9, 11, 15, 8191, 9973):
             assert compiled.legendre_symbols(p) == pure.legendre_symbols(p)
 
     def test_primitive_root_scan(self, compiled):
@@ -79,24 +90,87 @@ class TestBackendParity:
             11: [5, 2],        # (p-1)/q for q | 10
             29: [14, 4],       # q in {2, 7}
             97: [48, 32],      # q in {2, 3}
+            3: [1],            # q = 2: the one root is 2
+            9973: [4986, 3324, 36],  # q in {2, 3, 277}
         }
         for p, exponents in cases.items():
             assert compiled.primitive_root_scan(p, exponents) == pure.primitive_root_scan(p, exponents)
 
     def test_multiplier_orbit(self, compiled):
-        for a, m in [(1904, 8191), (2, 11), (7, 100), (1, 5)]:
+        cases = [(1904, 8191), (2, 11), (7, 100), (1, 5)]
+        cases.append((6, 99991))  # 99990 states outgrow the first buffer
+        # 2 has order 2k mod 2^k + 1; on both sides of the 2^32 product fast path
+        cases += [(2, (1 << k) + 1) for k in (31, 32, 61, 62)]
+        for a, m in cases:
             assert compiled.multiplier_orbit(a, m, m) == pure.multiplier_orbit(a, m, m)
 
     def test_orbit_cap_raises_in_both(self, compiled):
         for mod in (compiled, pure):
-            with pytest.raises(RuntimeError):
+            with pytest.raises(RuntimeError, match="orbit of 2 mod 11 did not return to 1 within 3 steps"):
                 mod.multiplier_orbit(2, 11, 3)
+
+    def test_orbit_with_huge_cap_allocates_nothing_up_front(self, compiled):
+        m = (1 << 62) + 57
+        for mod in (compiled, pure):
+            assert mod.multiplier_orbit(m - 1, m, m) == [1, m - 1]
+
+    def test_unallocatable_buffers_raise_memory_error(self, compiled):
+        # buffers are Python arrays, so a failed allocation raises instead of crashing
+        with pytest.raises(MemoryError):
+            compiled.legendre_symbols((1 << 62) + 1)
+        with pytest.raises(MemoryError):
+            compiled.simulate_run_counts(2, 1 << 61, 0)
+
+    def test_count_inversions_at_int64_and_uint64_edges(self, compiled):
+        lo, hi, top = -(1 << 63), (1 << 63) - 1, (1 << 64) - 1
+        rng = SplitMix64(63)
+        for edges in ([lo, lo + 1, -1, 0, 1, hi - 1, hi], [0, 1, hi - 1, hi, hi + 1, top - 1, top]):
+            for _ in range(20):
+                values = edges.copy()
+                rng.shuffle(values)
+                assert compiled.count_inversions(values) == pure.count_inversions(values)
+            assert compiled.count_inversions(edges[::-1]) == len(edges) * (len(edges) - 1) // 2
+        with pytest.raises(OverflowError):
+            compiled.count_inversions([hi + 1, -1])
 
     def test_simulate_inversion_counts(self, compiled):
         assert compiled.simulate_inversion_counts(27, 300, 555) == pure.simulate_inversion_counts(27, 300, 555)
 
     def test_simulate_run_counts(self, compiled):
         assert compiled.simulate_run_counts(48, 300, 777) == pure.simulate_run_counts(48, 300, 777)
+
+    def test_simulations_independent_of_worker_threads(self):
+        assert modsquares.KERNEL_BACKEND == "compiled"
+        config = SimConfig(seed=0xC0FFEE, iterations=4001, streams=2)
+        assert simulate_inversions(29, config, workers=2) == simulate_inversions(29, config, workers=1)
+        assert simulate_runs(97, config, workers=2) == simulate_runs(97, config, workers=1)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_build_module_compiles_warning_free_loadable_library(tmp_path, monkeypatch):
+    monkeypatch.setenv("CC", "cc -Werror")
+    library = build.build(tmp_path / Path(build.LIBRARY).name)
+    assert ctypes.CDLL(str(library)).msq_abi_version() == 1
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_without_the_library_the_package_falls_back_to_python(tmp_path):
+    package = Path(modsquares.__file__).parent
+    shutil.copytree(package, tmp_path / "modsquares", ignore=shutil.ignore_patterns("*.so", "__pycache__"))
+    script = textwrap.dedent("""
+        import modsquares
+        from modsquares._kernels import available_backends, backend_module
+        assert modsquares.KERNEL_BACKEND == "python"
+        assert available_backends() == ["python"]
+        try:
+            backend_module("compiled")
+        except ValueError as exc:
+            print("fallback ok:", exc)
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env={"PYTHONPATH": str(tmp_path)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("fallback ok: compiled backend is not available")
 
 
 def test_backend_module_rejects_unknown_name():
