@@ -41,6 +41,8 @@ def build_cases():
          lambda k: k.count_inversions(shuffled)),
         ("legendre_symbols(p=99991)",
          lambda k: k.legendre_symbols(99991)),
+        ("legendre_pair_counts(p=99991)",
+         lambda k: k.legendre_pair_counts(99991)),
         (f"primitive_root_scan(p={p_scan})",
          lambda k: k.primitive_root_scan(p_scan, exponents)),
         (f"multiplier_orbit(g={g_orbit}, p={p_orbit})",

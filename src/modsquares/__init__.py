@@ -72,6 +72,7 @@ from .runstats import (
     RunsScan,
     aladov_predicted,
     count_runs,
+    legendre_pair_counts,
     legendre_sequence,
     pair_counts,
     runs_null_moments,
@@ -116,6 +117,7 @@ __all__ = [
     "iter_odd_primes",
     "lcg_orbit",
     "legendre_euler",
+    "legendre_pair_counts",
     "legendre_reciprocity",
     "legendre_sequence",
     "mul_mod",

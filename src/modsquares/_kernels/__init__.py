@@ -28,6 +28,7 @@ BACKEND = _active.BACKEND_NAME
 
 count_inversions = _active.count_inversions
 legendre_symbols = _active.legendre_symbols
+legendre_pair_counts = _active.legendre_pair_counts
 primitive_root_scan = _active.primitive_root_scan
 multiplier_orbit = _active.multiplier_orbit
 simulate_inversion_counts = _active.simulate_inversion_counts

@@ -27,6 +27,7 @@ _SIGNATURES = {
     "msq_abi_version": (ctypes.c_int, []),
     "msq_count_inversions": (_i64, [_ptr, _ptr, _i64, ctypes.c_int]),
     "msq_legendre_symbols": (None, [_i64, _ptr]),
+    "msq_legendre_pair_counts": (None, [_i64, _ptr, _ptr]),
     "msq_primitive_root_scan": (None, [_i64, _ptr, _i64, _ptr]),
     "msq_multiplier_orbit": (_i64, [_u64, _u64, _i64, _ptr, _i64, _i64]),
     "msq_simulate_inversion_counts": (None, [_i64, _i64, _u64, _ptr, _ptr, _ptr]),
@@ -74,6 +75,13 @@ def legendre_symbols(p: int) -> list:
     out = _zeros("b", p - 1)
     _lib.msq_legendre_symbols(p, _addr(out))
     return out.tolist()
+
+
+def legendre_pair_counts(p: int) -> tuple:
+    """Overlapping-pair counts (n++, n+-, n-+, n--) of the symbols (a/p)."""
+    is_square, out = _zeros("b", p), _zeros("q", 4)
+    _lib.msq_legendre_pair_counts(p, _addr(is_square), _addr(out))
+    return tuple(out)
 
 
 def primitive_root_scan(p: int, exponents: list) -> list:

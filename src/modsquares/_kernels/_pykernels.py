@@ -56,16 +56,35 @@ def count_inversions(values: list) -> int:
     return inv
 
 
-def legendre_symbols(p: int) -> list:
-    """Symbols (a/p) for a = 1..p-1 as a list of +-1 ints.
+def _square_marks(p: int) -> bytearray:
+    """is_square[r] = 1 for each square r = x*x mod p.
 
-    Marks the nonzero squares x*x mod p; x only needs to run to
-    (p-1)/2 because x and p-x square to the same residue.
+    x only needs to run to (p-1)/2 because x and p-x square to the same
+    residue.
     """
     is_square = bytearray(p)
     for x in range(1, (p - 1) // 2 + 1):
         is_square[x * x % p] = 1
+    return is_square
+
+
+def legendre_symbols(p: int) -> list:
+    """Symbols (a/p) for a = 1..p-1 as a list of +-1 ints."""
+    is_square = _square_marks(p)
     return [1 if is_square[a] else -1 for a in range(1, p)]
+
+
+def legendre_pair_counts(p: int) -> tuple:
+    """Overlapping-pair counts (n++, n+-, n-+, n--) of the symbols (a/p).
+
+    Counts the pairs (a-1, a) for a = 2..p-1 without building the
+    symbol list.
+    """
+    is_square = _square_marks(p)
+    counts = [0, 0, 0, 0]
+    for prev, cur in zip(is_square[1 : p - 1], is_square[2:p]):
+        counts[3 - 2 * prev - cur] += 1
+    return tuple(counts)
 
 
 def primitive_root_scan(p: int, exponents: list) -> list:

@@ -117,6 +117,25 @@ void msq_legendre_symbols(i64 p, int8_t *out)
     }
 }
 
+/* Overlapping-pair counts of the symbols (a/p), a = 1..p-1, without
+   building them: out = {n++, n+-, n-+, n--}.  is_square holds p zeroed
+   entries.  The squares x^2, x = 1..(p-1)/2, step by 2x - 1 < p, so one
+   conditional subtraction reduces each and no division is needed. */
+void msq_legendre_pair_counts(i64 p, int8_t *is_square, i64 *out)
+{
+    i64 c[4] = {0, 0, 0, 0};
+    u64 r = 0;
+    for (i64 x = 1; x <= (p - 1) / 2; x++) {
+        r += (u64)(2 * x - 1);
+        if (r >= (u64)p)
+            r -= (u64)p;
+        is_square[r] = 1;
+    }
+    for (i64 a = 2; a < p; a++)
+        c[2 * !is_square[a - 1] + !is_square[a]]++;
+    memcpy(out, c, sizeof c);
+}
+
 /* is_root[g] = 1 for every g in [2, p-1] with g^e != 1 mod p for all k
    exponents; is_root holds p zeroed entries. */
 void msq_primitive_root_scan(i64 p, const u64 *exponents, i64 k, int8_t *is_root)

@@ -38,8 +38,8 @@ from .rng import RNG_ALGORITHM
 from .runstats import (
     aladov_predicted,
     count_runs,
+    legendre_pair_counts,
     legendre_sequence,
-    pair_counts,
     runs_null_moments,
     scan_runs,
     simulate_runs,
@@ -353,8 +353,7 @@ def _res_sim_inversions(p: int, config: SimConfig, workers: int) -> CommandResul
 
 
 def _res_runs(p: int) -> CommandResult:
-    seq = legendre_sequence(p)
-    runs = count_runs(seq)
+    runs = legendre_pair_counts(p).runs
     return CommandResult(
         inputs={"command": "runs", "p": p},
         header=["p", "n_plus", "n_minus", "runs", "expected_runs"],
@@ -363,7 +362,7 @@ def _res_runs(p: int) -> CommandResult:
 
 
 def _res_pairs(p: int) -> CommandResult:
-    observed = pair_counts(legendre_sequence(p))
+    observed = legendre_pair_counts(p)
     predicted = aladov_predicted(p)
     return CommandResult(
         inputs={"command": "pairs", "p": p},

@@ -16,7 +16,7 @@ Conventions
 from __future__ import annotations
 
 import enum
-import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,10 +83,16 @@ def iter_odd_primes(start: int = 3):
 
 
 def first_odd_primes(count: int) -> list[int]:
-    """The first `count` odd primes (3, 5, 7, ...)."""
+    """The first `count` odd primes (3, 5, 7, ...), via a sieve.
+
+    They end at the (count+1)-th prime p_n, and Rosser's bound
+    p_n < n (ln n + ln ln n) for n >= 6 sizes the sieve; p_5 = 11.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
-    return list(itertools.islice(iter_odd_primes(), count))
+    n = count + 1
+    limit = int(n * (math.log(n) + math.log(math.log(n)))) + 1 if n >= 6 else 12
+    return odd_primes_below(limit)[:count]
 
 
 def odd_primes_below(limit: int) -> list[int]:

@@ -11,6 +11,7 @@ mutually reversed cycles.
 from __future__ import annotations
 
 import operator
+import os
 from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
 from dataclasses import dataclass
@@ -189,12 +190,17 @@ class SimReport:
 
 
 def _run_partitioned(draw, plan, workers: int) -> list[int]:
-    """Run one kernel call per stream, concatenating in stream order."""
+    """Run one kernel call per stream, concatenating in stream order.
+
+    At most one thread per CPU runs, however many workers are asked for;
+    the plan alone fixes the output.
+    """
     live = [(seed, n) for seed, n in plan if n > 0]
-    if workers <= 1 or len(live) <= 1:
+    threads = min(workers, len(live), os.cpu_count() or 1)
+    if threads <= 1:
         chunks = [draw(seed, n) for seed, n in live]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(lambda sn: draw(*sn), live))
     out = []
     for chunk in chunks:

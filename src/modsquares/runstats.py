@@ -22,6 +22,7 @@ __all__ = [
     "RunsScan",
     "aladov_predicted",
     "count_runs",
+    "legendre_pair_counts",
     "legendre_sequence",
     "pair_counts",
     "runs_null_moments",
@@ -60,6 +61,11 @@ class PairCounts:
     def total(self) -> int:
         return self.npp + self.npm + self.nmp + self.nmm
 
+    @property
+    def runs(self) -> int:
+        """Number of runs of the sequence: sign changes plus 1."""
+        return self.npm + self.nmp + 1
+
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.npp, self.npm, self.nmp, self.nmm)
 
@@ -81,6 +87,15 @@ def legendre_sequence(p: int | OddPrime) -> LegendreSeq:
     """Symbols for a = 1..p-1, computed by marking the nonzero squares."""
     p = prime_value(p)
     return LegendreSeq(p, tuple(_kernels.legendre_symbols(p)))
+
+
+def legendre_pair_counts(p: int | OddPrime) -> PairCounts:
+    """Pair counts of the Legendre sequence of p, built without the sequence.
+
+    Equal to `pair_counts(legendre_sequence(p))`; its `runs` equals
+    `count_runs(legendre_sequence(p))`.
+    """
+    return PairCounts(*_kernels.legendre_pair_counts(prime_value(p)))
 
 
 def count_runs(seq) -> int:
@@ -189,5 +204,6 @@ def scan_runs(count: int | None = None, p_max: int | None = None) -> RunsScan:
         primes = odd_primes_below(p_max + 1)
         if not primes:
             raise ValueError(f"no odd prime is <= {p_max}")
-    rows = tuple((p, count_runs(legendre_sequence(p))) for p in primes)
+    # sieved primes need no primality check
+    rows = tuple((p, PairCounts(*_kernels.legendre_pair_counts(p)).runs) for p in primes)
     return RunsScan(rows)

@@ -34,6 +34,9 @@ class TestExitCodes:
         assert main(["legendre", "--p", "8"]) == ExitStatus.DOMAIN
         err = capsys.readouterr().err
         assert "odd" in err or "prime" in err
+        for command in ("runs", "pairs"):
+            assert main([command, "--p", "15"]) == ExitStatus.DOMAIN
+            assert "p must be prime; 15 is composite" in capsys.readouterr().err
 
     def test_non_coprime_period(self, capsys):
         assert main(["period", "--m", "8", "--a", "2"]) == ExitStatus.DOMAIN

@@ -85,6 +85,12 @@ class TestBackendParity:
         for p in (1, 2, 3, 5, 7, 9, 11, 15, 8191, 9973):
             assert compiled.legendre_symbols(p) == pure.legendre_symbols(p)
 
+    def test_legendre_pair_counts(self, compiled):
+        # the primes above, both classes mod 4 (13, 17 and 9973 are 1 mod 4;
+        # 19, 8191 and 99991 are 3 mod 4) and the non-prime corners
+        for p in (1, 2, 3, 5, 7, 9, 11, 13, 15, 17, 19, 8191, 9973, 99991):
+            assert compiled.legendre_pair_counts(p) == pure.legendre_pair_counts(p)
+
     def test_primitive_root_scan(self, compiled):
         cases = {
             11: [5, 2],        # (p-1)/q for q | 10

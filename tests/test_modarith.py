@@ -1,5 +1,7 @@
 """Modular arithmetic and the two Legendre-symbol engines."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,7 @@ from modsquares.modarith import (
     discrete_log,
     first_odd_primes,
     is_prime,
+    iter_odd_primes,
     legendre_euler,
     legendre_reciprocity,
     mul_mod,
@@ -43,6 +46,10 @@ class TestIsPrime:
     def test_prime_listing_matches_sieve(self):
         assert odd_primes_below(100) == [p for p in range(3, 100, 2) if is_prime(p)]
         assert first_odd_primes(7) == [3, 5, 7, 11, 13, 17, 19]
+        # the sieve bound switches to Rosser's formula at count = 5
+        oracle = list(itertools.islice(iter_odd_primes(), 2000))
+        for count in range(1, 2001):
+            assert first_odd_primes(count) == oracle[:count]
 
 
 class TestOddPrime:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modsquares import permstats
 from modsquares.genseq import generator_cycle
 from modsquares.modarith import odd_primes_below
 from modsquares.permstats import (
@@ -196,6 +197,22 @@ class TestSimulateInversions:
         sequential = simulate_inversions(29, config, workers=1)
         threaded = simulate_inversions(29, config, workers=4)
         assert sequential == threaded
+
+    def test_thread_pool_is_capped_by_the_cpu_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(permstats.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(permstats, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(permstats.os, "cpu_count", lambda: 3)
+        config = SimConfig(seed=13, iterations=640, streams=64)
+        threaded = simulate_inversions(29, config, workers=64)
+        assert sizes == [3]
+        assert threaded == simulate_inversions(29, config, workers=1)
+        assert sizes == [3]  # one worker runs without a pool
 
     def test_partition_plan_is_part_of_the_config(self):
         one = simulate_inversions(29, SimConfig(seed=12, iterations=500, streams=1))

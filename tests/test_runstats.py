@@ -11,6 +11,7 @@ from modsquares.permstats import SimConfig
 from modsquares.runstats import (
     aladov_predicted,
     count_runs,
+    legendre_pair_counts,
     legendre_sequence,
     pair_counts,
     runs_null_moments,
@@ -95,7 +96,7 @@ class TestCountRuns:
     @given(st.lists(st.sampled_from([1, -1]), min_size=2, max_size=200))
     def test_runs_equal_sign_changes_plus_one(self, symbols):
         pc = pair_counts(symbols)
-        assert count_runs(symbols) == pc.npm + pc.nmp + 1
+        assert count_runs(symbols) == pc.npm + pc.nmp + 1 == pc.runs
 
 
 class TestPairCounts:
@@ -122,6 +123,20 @@ class TestPairCounts:
         assert pc.total == len(symbols) - 1
         # +- and -+ transitions interleave, so they differ by at most one
         assert abs(pc.npm - pc.nmp) <= 1
+
+
+class TestLegendrePairCounts:
+    def test_matches_the_symbol_sequence(self):
+        for p in odd_primes_below(3000):
+            seq = legendre_sequence(p)
+            fused = legendre_pair_counts(p)
+            assert fused == pair_counts(seq), p
+            assert fused.runs == count_runs(seq) == (p + 1) // 2, p
+
+    @pytest.mark.parametrize("bad", [1, 2, 15, 8191 * 3])
+    def test_rejects_non_odd_primes(self, bad):
+        with pytest.raises(ValueError):
+            legendre_pair_counts(bad)
 
 
 class TestAladovPredicted:
