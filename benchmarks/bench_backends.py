@@ -11,7 +11,7 @@ import argparse
 import time
 
 from modsquares._kernels import available_backends, backend_module
-from modsquares.primroots import factorize, smallest_primitive_root
+from modsquares.primroots import factorize, primitive_roots, smallest_primitive_root
 from modsquares.rng import SplitMix64
 
 
@@ -36,6 +36,9 @@ def build_cases():
     p_orbit = 99991
     g_orbit = smallest_primitive_root(p_orbit)
 
+    p_cycles = 2003
+    roots = primitive_roots(p_cycles).roots
+
     return [
         ("count_inversions(n=200000)",
          lambda k: k.count_inversions(shuffled)),
@@ -47,6 +50,8 @@ def build_cases():
          lambda k: k.primitive_root_scan(p_scan, exponents)),
         (f"multiplier_orbit(g={g_orbit}, p={p_orbit})",
          lambda k: k.multiplier_orbit(g_orbit, p_orbit, p_orbit)),
+        (f"cycle_inversions(p={p_cycles}, {len(roots)} roots)",
+         lambda k: k.cycle_inversions(p_cycles, roots)),
         ("simulate_inversion_counts(tail=27, 10000 draws)",
          lambda k: k.simulate_inversion_counts(27, 10_000, seed)),
         ("simulate_run_counts(half=48, 10000 draws)",

@@ -31,6 +31,7 @@ legendre_symbols = _active.legendre_symbols
 legendre_pair_counts = _active.legendre_pair_counts
 primitive_root_scan = _active.primitive_root_scan
 multiplier_orbit = _active.multiplier_orbit
+cycle_inversions = _active.cycle_inversions
 simulate_inversion_counts = _active.simulate_inversion_counts
 simulate_run_counts = _active.simulate_run_counts
 splitmix_outputs = _active.splitmix_outputs

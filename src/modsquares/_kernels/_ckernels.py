@@ -30,6 +30,7 @@ _SIGNATURES = {
     "msq_legendre_pair_counts": (None, [_i64, _ptr, _ptr]),
     "msq_primitive_root_scan": (None, [_i64, _ptr, _i64, _ptr]),
     "msq_multiplier_orbit": (_i64, [_u64, _u64, _i64, _ptr, _i64, _i64]),
+    "msq_cycle_inversions": (None, [_i64, _ptr, _i64, _ptr, _ptr]),
     "msq_simulate_inversion_counts": (None, [_i64, _i64, _u64, _ptr, _ptr, _ptr]),
     "msq_simulate_run_counts": (None, [_i64, _i64, _u64, _ptr, _ptr]),
     "msq_splitmix_outputs": (None, [_u64, _i64, _ptr]),
@@ -111,6 +112,19 @@ def multiplier_orbit(a: int, m: int, cap: int) -> list:
             return out.tolist()
         filled = len(out)
         out.extend(_zeros("q", min(filled, cap - filled)))
+
+
+def cycle_inversions(p: int, roots) -> list:
+    """Inversion count of the cycle 1, g, g^2, ... mod p for each g in roots.
+
+    -1 marks a g whose walk is not a cycle through all of 1..p-1.  The
+    counts come from one Fenwick tree of p uint32 counters, reused for
+    every root, so 2 <= p <= 2**32.
+    """
+    gs = array("Q", roots)
+    tree, out = _zeros("I", p), _zeros("q", len(gs))
+    _lib.msq_cycle_inversions(p, _addr(gs), len(gs), _addr(tree), _addr(out))
+    return out.tolist()
 
 
 def simulate_inversion_counts(tail_len: int, iterations: int, seed: int) -> list:

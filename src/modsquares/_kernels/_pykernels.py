@@ -124,6 +124,21 @@ def multiplier_orbit(a: int, m: int, cap: int) -> list:
             )
 
 
+def cycle_inversions(p: int, roots) -> list:
+    """Inversion count of the cycle 1, g, g^2, ... mod p for each g in roots.
+
+    -1 marks a g whose walk is not a cycle through all of 1..p-1.
+    """
+    out = []
+    for g in roots:
+        try:
+            states = multiplier_orbit(g, p, p - 1)
+        except RuntimeError:  # the walk never returns to 1
+            states = ()
+        out.append(count_inversions(states) if len(states) == p - 1 else -1)
+    return out
+
+
 def simulate_inversion_counts(tail_len: int, iterations: int, seed: int) -> list:
     """Inversion counts of `iterations` random fixed cycles.
 

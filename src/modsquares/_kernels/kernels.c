@@ -170,6 +170,38 @@ i64 msq_multiplier_orbit(u64 a, u64 m, i64 cap, i64 *out, i64 filled, i64 len)
     }
 }
 
+/* Inversion count of the cycle 1, g, g^2, ... mod p for each of the k
+   multipliers g in roots, counted while walking it, so no cycle is
+   stored: out[r] is the count for roots[r], or -1 when the walk is back
+   at 1 (or at 0) before p - 1 states, or is not at 1 after them.  tree
+   holds p uint32 counters, a Fenwick tree over the states 1..p-1: at
+   step i, i minus the number of earlier states below x is the number of
+   inversions x closes.  Needs 2 <= p <= 2^32, so counters cannot
+   overflow. */
+void msq_cycle_inversions(i64 p, const u64 *roots, i64 k, uint32_t *tree, i64 *out)
+{
+    u64 n = (u64)p - 1;
+    for (i64 r = 0; r < k; r++) {
+        memset(tree, 0, (size_t)p * sizeof *tree);
+        u64 g = roots[r] % (u64)p, x = 1;
+        i64 inv = 0;
+        for (u64 i = 0; i < n; i++) {
+            if (x == 0 || (i && x == 1)) {
+                inv = -1;
+                break;
+            }
+            u64 below = 0;
+            for (u64 j = x; j; j &= j - 1)
+                below += tree[j];
+            inv += (i64)(i - below);
+            for (u64 j = x; j <= n; j += j & (0 - j))
+                tree[j]++;
+            x = mulmod(g, x, (u64)p);
+        }
+        out[r] = x == 1 ? inv : -1;
+    }
+}
+
 /* Inversion counts of `iterations` shuffles of 0..t-1 into out; a and tmp
    hold t entries each. */
 void msq_simulate_inversion_counts(i64 t, i64 iterations, u64 seed,

@@ -285,29 +285,83 @@ def residue_rule(a: int, p: int | OddPrime) -> Symbol:
     return Symbol.RESIDUE if p % modulus in ones else Symbol.NONRESIDUE
 
 
-def discrete_log(g: int, a: int, p: int | OddPrime) -> int:
-    """The exponent l in [0, p-2] with g**l = a (mod p), by orbit walk.
+#: Most baby steps stored by `discrete_log`; more giant steps replace the
+#: rest, so memory stays bounded at any p.
+_BSGS_TABLE_MAX = 1 << 16
 
-    Brute force is fine at desk scale; the walk touches each power of g
-    once.  Raises if the orbit closes without reaching a, which is the
-    observable symptom of g not being a primitive root.
+
+def _prime_order_log(gamma: int, q: int, p: int):
+    """h -> d in [0, q) with gamma**d = h mod p, where gamma has prime order q.
+
+    Baby-step giant-step: the m baby steps gamma**j are stored once, then
+    each lookup takes giant steps h * gamma**(-m*i) until one lands in
+    the table, so d = i*m + j.
     """
+    m = min(math.isqrt(q - 1) + 1, _BSGS_TABLE_MAX)
+    baby = {}
+    x = 1
+    for j in range(m):
+        baby[x] = j
+        x = x * gamma % p
+    giant = pow(gamma, -m, p)
+
+    def log(h: int) -> int:
+        y = h
+        for i in range(-(-q // m)):
+            j = baby.get(y)
+            if j is not None:
+                return i * m + j
+            y = y * giant % p
+        raise RuntimeError(f"{h} is not a power of {gamma} mod {p} of order {q}")
+
+    return log
+
+
+def discrete_log(g: int, a: int, p: int | OddPrime) -> int:
+    """The least exponent l >= 0 with g**l = a (mod p), by Pohlig-Hellman.
+
+    l lies in [0, ord(g)), so it is the position of a in the orbit
+    1, g, g**2, ... of g.  ord(g) comes from stripping the primes of
+    p - 1; each prime power q**e dividing it contributes e base-q digits
+    of l, each found by baby-step giant-step among the q powers of
+    g**(ord/q), and the Chinese remainder theorem joins them.  Cost is
+    O(sum of e * sqrt(q)) multiplications after trial division of p - 1
+    (a q above 2**32 takes q / 2**16 giant steps instead, as the table is
+    capped).  Raises if a is not in the orbit, which happens only when g
+    is not a primitive root.
+    """
+    from .primroots import factorize  # primroots imports this module
+
     p = prime_value(p)
     if not 1 <= g < p:
         raise ValueError(f"g must lie in [1, {p - 1}], got {g}")
     if not 1 <= a < p:
         raise ValueError(f"a must lie in [1, {p - 1}], got {a}")
-    x = 1
-    for l in range(p - 1):
-        if x == a:
-            return l
-        x = x * g % p
-        if x == 1:
-            break
-    raise ValueError(
-        f"{a} is not a power of {g} mod {p}: the orbit of {g} closed early, "
-        "so g is not a primitive root"
-    )
+    n = p - 1
+    primes = factorize(n).primes
+    for q in primes:
+        while n % q == 0 and pow(g, n // q, p) == 1:
+            n //= q
+    if pow(a, n, p) != 1:
+        raise ValueError(
+            f"{a} is not a power of {g} mod {p}: the orbit of {g} closed early, "
+            "so g is not a primitive root"
+        )
+    l, modulus = 0, 1
+    for q in primes:
+        if n % q:
+            continue
+        qe = q
+        while n % (qe * q) == 0:
+            qe *= q
+        digit = _prime_order_log(pow(g, n // q, p), q, p)
+        x, qk = 0, 1
+        while qk < qe:
+            x += digit(pow(a * pow(g, -x, p) % p, n // (qk * q), p)) * qk
+            qk *= q
+        l += modulus * ((x - l) * pow(modulus, -1, qe) % qe)
+        modulus *= qe
+    return l
 
 
 def sqrt_mod(a: int, p: int | OddPrime, g: int) -> int | None:
@@ -315,11 +369,16 @@ def sqrt_mod(a: int, p: int | OddPrime, g: int) -> int | None:
 
     Solves g**l = a by discrete logarithm, then halves the exponent: for
     a primitive root g, a is a square exactly when l is even.  Returns
-    min(r, p - r) of the two roots r and p - r.
+    min(r, p - r) of the two roots r and p - r.  Any other g is refused:
+    its odd exponents can still reach squares.
     """
+    from .primroots import is_primitive_root  # primroots imports this module
+
     p = prime_value(p)
     if a % p == 0:
         raise ValueError(f"a must not be divisible by p, got a={a}, p={p}")
+    if not is_primitive_root(g, p):
+        raise ValueError(f"{g} is not a primitive root of {p}")
     l = discrete_log(g, a % p, p)
     if l % 2 == 1:
         return None

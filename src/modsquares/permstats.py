@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
-from .genseq import generator_cycle
 from .modarith import OddPrime, prime_value
 from .primroots import primitive_roots
 from .rng import RNG_ALGORITHM, SplitMix64, stream_seeds
@@ -37,6 +36,9 @@ __all__ = [
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
+#: Exclusive bound on p for root-cycle inversions: the kernel's Fenwick
+#: tree holds uint32 counters.
+_CYCLE_LIMIT = 1 << 32
 
 
 def count_inversions(seq) -> int:
@@ -106,21 +108,25 @@ def inversion_summary(p: int | OddPrime) -> InversionSummary:
     lands exactly on the theoretical mean: inverse roots give reversed
     cycles whose counts sum to the fixed total (p-2)(p-3)/2.
 
-    Cycles go to the kernel unvalidated: `generator_cycle` has already
-    checked that each one is a permutation of 1..p-1, and p < 2**63.
+    The kernel counts each cycle while walking it, so no cycle is
+    stored, and reports -1 for a walk that is not a (p-1)-cycle.  p must
+    be below 2**32; a larger one would need phi(p-1) walks of more than
+    4e9 states each.
     """
     p = prime_value(p)
+    if p >= _CYCLE_LIMIT:
+        raise ValueError(f"p must be below 2**32 for root-cycle inversions, got {p}")
     theory_mean, theory_var = inversion_null_moments(p)
-    per_root = []
-    for g in primitive_roots(p):
-        cycle = generator_cycle(g, p)
-        per_root.append((g, _kernels.count_inversions(cycle.states)))
-    counts = [c for _, c in per_root]
+    roots = primitive_roots(p).roots
+    counts = _kernels.cycle_inversions(p, roots)
+    if -1 in counts:
+        g = roots[counts.index(-1)]
+        raise RuntimeError(f"primitive root {g} mod {p} did not walk a (p-1)-cycle")
     sample_mean = Fraction(sum(counts), len(counts))
     sample_var = _exact_sample_variance(counts)
     return InversionSummary(
         p=p,
-        per_root=tuple(per_root),
+        per_root=tuple(zip(roots, counts)),
         sample_mean=sample_mean,
         sample_sd=float(sample_var) ** 0.5,
         theory_mean=theory_mean,

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, output formats, determinism, config handling."""
 
 import json
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -45,6 +46,14 @@ class TestExitCodes:
     def test_non_root_cycle(self, capsys):
         assert main(["cycle", "--p", "11", "--g", "3"]) == ExitStatus.DOMAIN
         capsys.readouterr()
+        assert main(["sqrt", "--p", "11", "--a", "3", "--g", "3"]) == ExitStatus.DOMAIN
+        assert "3 is not a primitive root of 11" in capsys.readouterr().err
+
+    def test_inversions_beyond_32_bits(self, capsys):
+        start = time.perf_counter()
+        assert main(["inversions", "--p", "4294967311"]) == ExitStatus.DOMAIN
+        assert time.perf_counter() - start < 5
+        assert "p must be below 2**32" in capsys.readouterr().err
 
     def test_svg_for_table_command(self, capsys):
         assert main(["legendre", "--p", "11", "--format", "svg"]) == ExitStatus.USAGE

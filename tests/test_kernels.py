@@ -12,6 +12,7 @@ import pytest
 import modsquares
 from modsquares._kernels import available_backends, backend_module, build
 from modsquares.permstats import SimConfig, simulate_inversions
+from modsquares.primroots import primitive_roots
 from modsquares.rng import SplitMix64, stream_seeds
 from modsquares.runstats import simulate_runs
 
@@ -109,6 +110,18 @@ class TestBackendParity:
         cases += [(2, (1 << k) + 1) for k in (31, 32, 61, 62)]
         for a, m in cases:
             assert compiled.multiplier_orbit(a, m, m) == pure.multiplier_orbit(a, m, m)
+
+    def test_cycle_inversions(self, compiled):
+        for p in (3, 5, 7, 11, 29, 97, 1009, 2003, 10007):
+            roots = list(primitive_roots(p))
+            if p == 10007:
+                roots = roots[::100]  # the pure twin takes ~20 ms a root here
+            assert compiled.cycle_inversions(p, roots) == pure.cycle_inversions(p, roots)
+        # 3 has order 5 mod 11, 10 order 2, 1 order 1; 0 and 11 never return to 1
+        for mod in (compiled, pure):
+            assert mod.cycle_inversions(11, [3, 2]) == [-1, 15]
+            assert mod.cycle_inversions(11, [10, 1, 0, 11, 13]) == [-1, -1, -1, -1, 15]
+            assert mod.cycle_inversions(29, []) == []
 
     def test_orbit_cap_raises_in_both(self, compiled):
         for mod in (compiled, pure):

@@ -23,11 +23,34 @@ from modsquares.modarith import (
     sqrt_mod,
 )
 from modsquares.primroots import smallest_primitive_root
+from modsquares.rng import SplitMix64
 
 
 def brute_squares(p):
     """Independent oracle: square every residue."""
     return {x * x % p for x in range(1, p)}
+
+
+def walk_log(g, a, p):
+    """Orbit-walk oracle: the position of a in 1, g, g**2, ... mod p."""
+    x = 1
+    for l in range(p - 1):
+        if x == a:
+            return l
+        x = x * g % p
+        if x == 1:
+            break
+    raise ValueError(
+        f"{a} is not a power of {g} mod {p}: the orbit of {g} closed early, "
+        "so g is not a primitive root"
+    )
+
+
+def log_or_error(log, g, a, p):
+    try:
+        return log(g, a, p)
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestIsPrime:
@@ -256,8 +279,35 @@ class TestDiscreteLog:
 
     def test_orbit_exhaustion_raises(self):
         # 3 has order 5 mod 11; 2 is outside its orbit
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="2 is not a power of 3 mod 11"):
             discrete_log(3, 2, 11)
+
+    def test_matches_the_orbit_walk_for_every_g_and_a(self):
+        # primitive or not: the same l, or the same error.  All pairs below
+        # 128; above, every g with 16 spread values of a (all 1.58 million
+        # pairs below 300 take about half a minute)
+        for p in odd_primes_below(300):
+            step = 1 if p < 128 else -(-p // 16)
+            for g in range(1, p):
+                for a in range(1, p, step):
+                    assert log_or_error(discrete_log, g, a, p) == log_or_error(walk_log, g, a, p)
+
+    def test_matches_the_orbit_walk_near_a_million(self):
+        rng = SplitMix64(1_000_003)
+        for p in (999_983, 1_000_003, 1_000_033):
+            for _ in range(3):
+                g, a = 1 + rng.randbelow(p - 1), 1 + rng.randbelow(p - 1)
+                assert log_or_error(discrete_log, g, a, p) == log_or_error(walk_log, g, a, p)
+            g = smallest_primitive_root(p)
+            a = pow(g, rng.randbelow(p - 1), p)
+            assert discrete_log(g, a, p) == walk_log(g, a, p)
+
+    def test_prime_order_beyond_the_baby_step_table(self):
+        # p = 2q + 1 with q = 8589934631 > 2**32: q's digit needs more
+        # giant steps than the 2**16-entry table has entries
+        p = 17179869263
+        for g, a in ((5, 2), (5, p - 1), (3, 12345678), (2, 3)):
+            assert pow(g, discrete_log(g, a, p), p) == a
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -297,3 +347,8 @@ class TestSqrtMod:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             sqrt_mod(0, 11, 2)
+
+    def test_rejects_a_non_primitive_g(self):
+        # 3 has order 5 mod 11, so log_3 3 = 1 is odd although 3 = 5**2
+        with pytest.raises(ValueError, match="3 is not a primitive root of 11"):
+            sqrt_mod(3, 11, 3)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modsquares import permstats
+from modsquares import KERNEL_BACKEND, permstats
 from modsquares.genseq import generator_cycle
 from modsquares.modarith import odd_primes_below
 from modsquares.permstats import (
@@ -115,6 +115,18 @@ class TestInversionSummary:
 
     def test_p11_mean(self):
         assert inversion_summary(11).sample_mean == Fraction(9 * 8, 4)
+
+    def test_per_root_counts_match_the_validated_cycles(self):
+        # the fused kernel against the cycle and the validated merge count,
+        # over a window that covers the benchmark's primes; the pure twin
+        # runs the oracle's own merge count, and there the full window
+        # would take about 100 s, so it gets a shorter one
+        limit = 1101 if KERNEL_BACKEND == "compiled" else 300
+        for p in odd_primes_below(limit):
+            if p < 5:
+                continue
+            expected = [(g, count_inversions(generator_cycle(g, p).states)) for g in primitive_roots(p)]
+            assert list(inversion_summary(p).per_root) == expected, p
 
     def test_sample_mean_always_equals_theory_mean(self):
         for p in odd_primes_below(100):
