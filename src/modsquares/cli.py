@@ -22,10 +22,11 @@ from csv import writer as csv_writer
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .genseq import lcg_orbit, generator_cycle, square_cycle, squares_set
-from .modarith import OddPrime, discrete_log, legendre_euler, sqrt_mod
+from .modarith import discrete_log, legendre_euler, sqrt_mod
 from .permstats import (
     SimConfig,
     SimReport,
@@ -45,13 +46,12 @@ from .runstats import (
     simulate_runs,
 )
 
-__all__ = ["ExitStatus", "OutputSpec", "emit_csv", "emit_svg_histogram", "main", "run_command"]
+__all__ = ["ExitStatus", "emit_csv", "emit_svg_histogram", "main", "run_command"]
 
-#: Fixed default seed so bare invocations are already reproducible.
-DEFAULT_SEED = 0x5EED
-DEFAULT_ITERATIONS = 10_000
-DEFAULT_SCAN_COUNT = 200
-DEFAULT_PRECISION = 6
+#: The config-file keys, each with its built-in value.  The seed is fixed so
+#: bare invocations are already reproducible; `scan` is the prime count of
+#: `scan` given neither --count nor --p-max.
+DEFAULTS = {"iterations": 10_000, "seed": 0x5EED, "workers": 1, "scan": 200, "precision": 6}
 
 
 class ExitStatus(enum.IntEnum):
@@ -63,18 +63,6 @@ class ExitStatus(enum.IntEnum):
 
 class UsageError(Exception):
     """Bad flags or flag combinations; maps to exit code 1."""
-
-
-@dataclass(frozen=True)
-class OutputSpec:
-    """Where and how a command writes: csv/json/svg to a path or stdout."""
-
-    format: str = "csv"
-    destination: str | None = None
-
-    def __post_init__(self):
-        if self.format not in ("csv", "json", "svg"):
-            raise UsageError(f"unknown format {self.format!r}")
 
 
 @dataclass
@@ -115,7 +103,7 @@ def _fmt(x, precision: int) -> str:
     return str(x)
 
 
-def emit_csv(rows, header, footers=None, precision: int = DEFAULT_PRECISION) -> bytes:
+def emit_csv(rows, header, footers=None, precision: int = DEFAULTS["precision"]) -> bytes:
     """RFC-4180-style CSV: header first, `\\n` endings, `#` footer comments."""
     arity = len(header)
     for row in rows:
@@ -139,7 +127,7 @@ def _json_value(v):
     return v
 
 
-def emit_json(result: CommandResult, precision: int) -> bytes:
+def emit_json(result: CommandResult) -> bytes:
     payload = {
         "inputs": result.inputs,
         "outputs": {
@@ -439,7 +427,7 @@ def _res_repro(out_dir: str, iterations: int, seed: int, precision: int) -> Comm
         ("inversion_hist_p29.csv", _res_sim_inversions(29, config, workers=1)),
         ("runs_hist_p97.csv", _res_sim_runs(97, config, workers=1)),
         ("legendre_small_primes.csv", _res_small_prime_table()),
-        ("runs_scan_200.csv", _res_scan(DEFAULT_SCAN_COUNT, None)),
+        ("runs_scan_200.csv", _res_scan(DEFAULTS["scan"], None)),
     ]
     manifest = []
     for name, result in artifacts:
@@ -470,101 +458,110 @@ def _res_small_prime_table() -> CommandResult:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
+# the command table: build_parser and main read every subcommand from here
 
 
-def _add_output_flags(sub):
-    sub.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
-    sub.add_argument("--out", default=None, help="write to this file instead of stdout")
-    sub.add_argument("--precision", type=int, default=None,
-                     help=f"decimal digits for non-integer numbers (default {DEFAULT_PRECISION})")
-    sub.add_argument("--config", default=None,
-                     help="key=value file with defaults for iterations/seed/workers/scan/precision")
+class Command(NamedTuple):
+    """One subcommand: its help line, its flags, the handler that turns the
+    parsed args into a CommandResult, and the SVG it draws, if any."""
+
+    help: str
+    flags: list
+    handler: Callable[[argparse.Namespace], CommandResult]
+    svg: str | None = None
 
 
-def _add_sim_flags(sub):
-    sub.add_argument("--iterations", type=int, default=None,
-                     help=f"Monte Carlo draws (default {DEFAULT_ITERATIONS})")
-    sub.add_argument("--seed", type=int, default=None,
-                     help=f"64-bit seed (default {DEFAULT_SEED})")
-    sub.add_argument("--workers", type=int, default=None,
-                     help="stream count and thread pool size (default 1)")
+# A flag is an (option, add_argument kwargs) pair; a ([flags], kwargs) pair
+# is a mutually exclusive group.  Every command also takes _OUTPUT_FLAGS.
+_OUTPUT_FLAGS = [
+    ("--format", {"choices": ["csv", "json", "svg"], "default": "csv"}),
+    ("--out", {"help": "write to this file instead of stdout"}),
+    ("--precision", {"type": int,
+                     "help": f"decimal digits for non-integer numbers (default {DEFAULTS['precision']})"}),
+    ("--config", {"help": "key=value file with defaults for iterations/seed/workers/scan/precision"}),
+]
+_SIM_FLAGS = [
+    ("--iterations", {"type": int, "help": f"Monte Carlo draws (default {DEFAULTS['iterations']})"}),
+    ("--seed", {"type": int, "help": f"64-bit seed (default {DEFAULTS['seed']})"}),
+    ("--workers", {"type": int,
+                   "help": f"stream count and thread pool size (default {DEFAULTS['workers']})"}),
+]
+_P = ("--p", {"type": int, "required": True})
+_G = ("--g", {"type": int, "required": True})
+_A = ("--a", {"type": int, "required": True})
+
+
+def _sim_config(args) -> SimConfig:
+    return SimConfig(seed=args.seed, iterations=args.iterations, streams=args.workers)
+
+
+# Handlers call the _res_* functions from inside lambdas, so the name is
+# looked up when the command runs and a patched or wrapped function is used.
+COMMANDS: dict[str, Command] = {
+    "legendre": Command("Legendre symbols (a/p) for a = 1..p-1", [_P],
+                        lambda a: _res_legendre(a.p)),
+    "primroots": Command("primitive roots of p, ascending", [_P],
+                         lambda a: _res_primroots(a.p)),
+    "cycle": Command("the full cycle (1, g, g^2, ...) mod p", [_P, _G],
+                     lambda a: _res_cycle(a.p, a.g)),
+    "squares": Command("nonzero squares mod p (sorted, or in g^2-walk order)", [_P, ("--g", {"type": int})],
+                       lambda a: _res_squares(a.p, a.g)),
+    "period": Command("orbit of 1 under x -> a*x mod m, with its period",
+                      [("--m", {"type": int, "required": True}), _A],
+                      lambda a: _res_period(a.m, a.a)),
+    "inversions": Command("inversion counts of every primitive-root cycle of p", [_P],
+                          lambda a: _res_inversions(a.p)),
+    "sim-inversions": Command("Monte Carlo inversion counts of random fixed cycles", [_P, *_SIM_FLAGS],
+                              lambda a: _res_sim_inversions(a.p, _sim_config(a), a.workers),
+                              svg="histogram"),
+    # `runs --scan N` is an alias of `scan --count N`, scatter plot included
+    "runs": Command("runs of the Legendre sequence of p (or --scan N primes)",
+                    [([("--p", {"type": int}), ("--scan", {"type": int, "metavar": "COUNT"})],
+                      {"required": True})],
+                    lambda a: _res_runs(a.p) if a.scan is None else _res_scan(a.scan, None),
+                    svg="scatter"),
+    "pairs": Command("observed vs predicted overlapping-pair counts for p", [_P],
+                     lambda a: _res_pairs(a.p)),
+    "sim-runs": Command("Monte Carlo run counts of shuffled balanced sequences", [_P, *_SIM_FLAGS],
+                        lambda a: _res_sim_runs(a.p, _sim_config(a), a.workers),
+                        svg="histogram"),
+    "scan": Command("runs of the Legendre sequence over many primes",
+                    [([("--count", {"type": int, "help": "first COUNT odd primes"}),
+                       ("--p-max", {"type": int, "help": "all odd primes <= P_MAX"})],
+                      {})],
+                    lambda a: _res_scan(a.count, a.p_max),
+                    svg="scatter"),
+    "dlog": Command("discrete logarithm: the l with g^l = a (mod p)", [_P, _G, _A],
+                    lambda a: _res_dlog(a.p, a.g, a.a)),
+    "sqrt": Command("modular square root of a (mod p), via discrete log",
+                    [_P, _A, ("--g", {"type": int, "help": "primitive root to use (default: smallest)"})],
+                    lambda a: _res_sqrt(a.p, a.a, a.g)),
+    "repro": Command("write every canonical analysis to named CSV/SVG files",
+                     [("--out-dir", {"default": "repro-out"}), *_SIM_FLAGS],
+                     lambda a: _res_repro(a.out_dir, a.iterations, a.seed, a.precision)),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="modsquares", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    def sub(name, help_text, **kwargs):
-        s = subs.add_parser(name, help=help_text, **kwargs)
-        _add_output_flags(s)
-        return s
-
-    s = sub("legendre", "Legendre symbols (a/p) for a = 1..p-1")
-    s.add_argument("--p", type=int, required=True)
-
-    s = sub("primroots", "primitive roots of p, ascending")
-    s.add_argument("--p", type=int, required=True)
-
-    s = sub("cycle", "the full cycle (1, g, g^2, ...) mod p")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--g", type=int, required=True)
-
-    s = sub("squares", "nonzero squares mod p (sorted, or in g^2-walk order)")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--g", type=int, default=None)
-
-    s = sub("period", "orbit of 1 under x -> a*x mod m, with its period")
-    s.add_argument("--m", type=int, required=True)
-    s.add_argument("--a", type=int, required=True)
-
-    s = sub("inversions", "inversion counts of every primitive-root cycle of p")
-    s.add_argument("--p", type=int, required=True)
-
-    s = sub("sim-inversions", "Monte Carlo inversion counts of random fixed cycles")
-    s.add_argument("--p", type=int, required=True)
-    _add_sim_flags(s)
-
-    s = sub("runs", "runs of the Legendre sequence of p (or --scan N primes)")
-    group = s.add_mutually_exclusive_group(required=True)
-    group.add_argument("--p", type=int, default=None)
-    group.add_argument("--scan", type=int, default=None, metavar="COUNT")
-
-    s = sub("pairs", "observed vs predicted overlapping-pair counts for p")
-    s.add_argument("--p", type=int, required=True)
-
-    s = sub("sim-runs", "Monte Carlo run counts of shuffled balanced sequences")
-    s.add_argument("--p", type=int, required=True)
-    _add_sim_flags(s)
-
-    s = sub("scan", "runs of the Legendre sequence over many primes")
-    group = s.add_mutually_exclusive_group()
-    group.add_argument("--count", type=int, default=None, help="first COUNT odd primes")
-    group.add_argument("--p-max", type=int, default=None, help="all odd primes <= P_MAX")
-
-    s = sub("dlog", "discrete logarithm: the l with g^l = a (mod p)")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--g", type=int, required=True)
-    s.add_argument("--a", type=int, required=True)
-
-    s = sub("sqrt", "modular square root of a (mod p), via discrete log")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--a", type=int, required=True)
-    s.add_argument("--g", type=int, default=None,
-                   help="primitive root to use (default: smallest)")
-
-    s = sub("repro", "write every canonical analysis to named CSV/SVG files")
-    s.add_argument("--out-dir", default="repro-out")
-    _add_sim_flags(s)
-
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        for option, kwargs in _OUTPUT_FLAGS + command.flags:
+            if isinstance(option, str):
+                sub.add_argument(option, **kwargs)
+            else:
+                group = sub.add_mutually_exclusive_group(**kwargs)
+                for member, member_kwargs in option:
+                    group.add_argument(member, **member_kwargs)
+        sub.set_defaults(handler=command.handler)
     return parser
 
 
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    allowed = {"iterations", "seed", "workers", "scan", "precision"}
     values = {}
     try:
         text = Path(path).read_text()
@@ -576,8 +573,8 @@ def _load_config(path: str | None) -> dict:
             continue
         key, sep, value = line.partition("=")
         key = key.strip()
-        if not sep or key not in allowed:
-            raise UsageError(f"{path}:{lineno}: expected 'key=value' with key in {sorted(allowed)}")
+        if not sep or key not in DEFAULTS:
+            raise UsageError(f"{path}:{lineno}: expected 'key=value' with key in {sorted(DEFAULTS)}")
         try:
             values[key] = int(value.strip())
         except ValueError:
@@ -585,78 +582,39 @@ def _load_config(path: str | None) -> dict:
     return values
 
 
+#: The least value each flag accepts, whether set on the command line or
+#: filled in from the config file or DEFAULTS.
+_MINIMUM = {"precision": 0, "iterations": 1, "workers": 1}
+
+
 def _resolve(args) -> None:
-    """Fill unset flags from the config file, then from built-in defaults."""
-    cfg = _load_config(getattr(args, "config", None))
-
-    def pick(name, default):
-        if getattr(args, name, None) is None:
-            setattr(args, name, cfg.get(name, default))
-
-    pick("precision", DEFAULT_PRECISION)
-    if args.precision < 0:
-        raise UsageError("--precision must be >= 0")
-    if hasattr(args, "iterations"):
-        pick("iterations", DEFAULT_ITERATIONS)
-        pick("seed", DEFAULT_SEED)
-        pick("workers", 1)
-        if args.workers < 1:
-            raise UsageError("--workers must be >= 1")
-    if args.command == "scan" and args.count is None and args.p_max is None:
-        args.count = cfg.get("scan", DEFAULT_SCAN_COUNT)
+    """Fill unset flags from the config file, then from DEFAULTS, and check them."""
+    values = {**DEFAULTS, **_load_config(args.config)}
+    for name in ("precision", "iterations", "seed", "workers"):
+        if not hasattr(args, name):
+            continue  # not a flag of this command
+        if getattr(args, name) is None:
+            setattr(args, name, values[name])
+        if name in _MINIMUM and getattr(args, name) < _MINIMUM[name]:
+            raise UsageError(f"--{name} must be >= {_MINIMUM[name]}")
+    if hasattr(args, "p_max") and args.count is None and args.p_max is None:
+        args.count = values["scan"]
 
 
-def _dispatch(args) -> CommandResult:
-    if args.command == "legendre":
-        return _res_legendre(args.p)
-    if args.command == "primroots":
-        return _res_primroots(args.p)
-    if args.command == "cycle":
-        return _res_cycle(args.p, args.g)
-    if args.command == "squares":
-        return _res_squares(args.p, args.g)
-    if args.command == "period":
-        return _res_period(args.m, args.a)
-    if args.command == "inversions":
-        return _res_inversions(args.p)
-    if args.command == "sim-inversions":
-        config = SimConfig(seed=args.seed, iterations=args.iterations, streams=args.workers)
-        return _res_sim_inversions(args.p, config, args.workers)
-    if args.command == "runs":
-        if args.scan is not None:
-            return _res_scan(args.scan, None)
-        return _res_runs(args.p)
-    if args.command == "pairs":
-        return _res_pairs(args.p)
-    if args.command == "sim-runs":
-        config = SimConfig(seed=args.seed, iterations=args.iterations, streams=args.workers)
-        return _res_sim_runs(args.p, config, args.workers)
-    if args.command == "scan":
-        return _res_scan(args.count, args.p_max)
-    if args.command == "dlog":
-        return _res_dlog(args.p, args.g, args.a)
-    if args.command == "sqrt":
-        return _res_sqrt(args.p, args.a, args.g)
-    if args.command == "repro":
-        return _res_repro(args.out_dir, args.iterations, args.seed, args.precision)
-    raise RuntimeError(f"unhandled command {args.command!r}")
+def _no_svg(command: str) -> UsageError:
+    return UsageError(f"--format svg is only valid for histogram or scatter commands, not {command!r}")
 
 
 def _render(result: CommandResult, fmt: str, precision: int) -> bytes:
     if fmt == "csv":
         return emit_csv(result.rows, result.header, result.footers, precision)
     if fmt == "json":
-        return emit_json(result, precision)
-    if fmt == "svg":
-        if result.report is not None:
-            return emit_svg_histogram(result.report, result.title, result.xlabel)
-        if result.scatter:
-            return emit_svg_scatter(result.rows, result.title, result.xlabel, "runs")
-        raise UsageError(
-            f"--format svg is only valid for histogram or scatter commands, "
-            f"not {result.inputs.get('command')!r}"
-        )
-    raise UsageError(f"unknown format {fmt!r}")
+        return emit_json(result)
+    if result.report is not None:
+        return emit_svg_histogram(result.report, result.title, result.xlabel)
+    if result.scatter:
+        return emit_svg_scatter(result.rows, result.title, result.xlabel, "runs")
+    raise _no_svg(result.inputs["command"])  # `runs --p`
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -665,10 +623,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         _resolve(args)
-        spec = OutputSpec(args.format, args.out)
-        result = _dispatch(args)
-        data = _render(result, spec.format, args.precision)
-        _write(data, spec.destination)
+        if args.format == "svg" and COMMANDS[args.command].svg is None:
+            raise _no_svg(args.command)  # refused before any work is done
+        result = args.handler(args)
+        _write(_render(result, args.format, args.precision), args.out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return int(ExitStatus.USAGE)
@@ -677,6 +635,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(code) if isinstance(code, int) else 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return int(ExitStatus.DOMAIN)
+    except MemoryError:
+        print("error: out of memory; try a smaller input", file=sys.stderr)
         return int(ExitStatus.DOMAIN)
     except (RuntimeError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)

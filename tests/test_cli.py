@@ -1,14 +1,21 @@
 """CLI surface: exit codes, output formats, determinism, config handling."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from modsquares import cli
 from modsquares.cli import ExitStatus, emit_csv, emit_svg_histogram, main, run_command
 from modsquares.permstats import SimConfig, SimReport
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_to_file(tmp_path, name, argv):
@@ -70,6 +77,40 @@ class TestExitCodes:
     def test_run_command_alias(self, capsys):
         assert run_command(["runs", "--p", "7"]) == 0
         capsys.readouterr()
+
+    def test_svg_refused_before_computing(self, capsys, monkeypatch):
+        def boom(p):
+            raise RuntimeError("computed before refusing --format svg")
+
+        monkeypatch.setattr(cli, "_res_legendre", boom)
+        assert main(["legendre", "--p", "11", "--format", "svg"]) == ExitStatus.USAGE
+        assert "only valid for histogram or scatter commands, not 'legendre'" in capsys.readouterr().err
+        assert main(["runs", "--p", "7", "--format", "svg"]) == ExitStatus.USAGE
+        assert "not 'runs'" in capsys.readouterr().err
+
+    def test_out_of_memory_is_a_domain_error(self, capsys, monkeypatch):
+        def exhausted(count, p_max):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "_res_scan", exhausted)
+        assert main(["scan", "--count", "5"]) == ExitStatus.DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_counts_below_one_are_usage_errors(self, capsys):
+        for flag in ("--iterations", "--workers"):
+            assert main(["sim-runs", "--p", "97", flag, "0"]) == ExitStatus.USAGE
+            assert f"{flag} must be >= 1" in capsys.readouterr().err
+
+    def test_console_entry_carries_exit_code(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        command = [sys.executable, "-m", "modsquares.cli", "runs"]
+        ok = subprocess.run(command + ["--p", "7"], env=env, capture_output=True)
+        assert ok.returncode == 0
+        assert ok.stdout == b"p,n_plus,n_minus,runs,expected_runs\n7,3,3,4,4\n"
+        bad = subprocess.run(command, env=env, capture_output=True)
+        assert bad.returncode == ExitStatus.USAGE
+        assert b"error:" in bad.stderr
 
 
 class TestCsvOutput:
@@ -238,6 +279,14 @@ class TestConfigFile:
         assert main(["scan", "--count", "5", "--config", str(cfg)]) == ExitStatus.USAGE
         capsys.readouterr()
 
+    def test_config_counts_below_one(self, tmp_path, capsys):
+        for key in ("iterations", "workers"):
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key}=0\n")
+            argv = ["sim-inversions", "--p", "29", "--config", str(cfg)]
+            assert main(argv) == ExitStatus.USAGE
+            assert f"--{key} must be >= 1" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert (
             main(["scan", "--count", "5", "--config", str(tmp_path / "nope.cfg")])
@@ -276,3 +325,108 @@ class TestRepro:
                          "--iterations", "200"]) == 0
         for name in ("inversion_hist_p29.csv", "runs_scan_200.csv"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+
+# sha256 of the `--out` bytes.  They pin the output bytes across code changes
+# and are the same on the pure and compiled kernel backends.  `runs --scan 20`
+# is an alias of `scan --count 20` and gives the same bytes.
+GOLDEN_CONFIG = "iterations=250\nseed=6\nworkers=2\nprecision=3\nscan=7\n"
+GOLDEN = [
+    (("legendre", "--p", "11"),
+     "42f83464088dfed665c85fafe69a3ca2ab74ca267d84d6594ca032264b185ec7"),
+    (("legendre", "--p", "11", "--format", "json"),
+     "7277bae08b698d2583f9c71bd3dba9f5a0cf25ba4e3429ea4f536d8bbe9e70ad"),
+    (("primroots", "--p", "29"),
+     "dfd6bd43cf613b60f28db0d2c050896dc9522eac2ecd235d21ead1a16378b3d6"),
+    (("primroots", "--p", "29", "--format", "json"),
+     "1bb665f878f0116dec3667599dc5aea9aed83196fe113a2f845584b88b0088bf"),
+    (("cycle", "--p", "11", "--g", "2"),
+     "52faa3d29c0145fdc4fbcddab802a4a378a729fe330b63b76b70b42c22143d2f"),
+    (("cycle", "--p", "11", "--g", "2", "--format", "json"),
+     "79ed68905842a8b711e3702f3998a5ac764a57a2e7c023a126264c2be7c6b811"),
+    (("squares", "--p", "11"),
+     "f01d884904e0ee0fed499a79154ebd3633f3e959a0b21fcd411c4629ebd92170"),
+    (("squares", "--p", "11", "--g", "2"),
+     "1594bbb378f4aa5c7e23d6279e3bb9197ae7410cab6460ea9f33494f5c3be3cd"),
+    (("squares", "--p", "11", "--g", "2", "--format", "json"),
+     "f85af43b8b996f1c502f6cff6ad1ba2aa63356d243d74de533fe7ec434b9c149"),
+    (("period", "--m", "8191", "--a", "1904"),
+     "9f93f4d85fb0eacd42a6c3ad181b200e85eae7a415e32e8a18e6155c99009abc"),
+    (("period", "--m", "8191", "--a", "1904", "--format", "json"),
+     "47199ad5ccb5e3da0556acea49b9eba44e7f463e774beea26cb1760fbeae1815"),
+    (("inversions", "--p", "29"),
+     "3eb35378d81d76fd5d45127b82cf5f53b93c050c1fa6a130a2840443b52d62c2"),
+    (("inversions", "--p", "29", "--format", "json"),
+     "85e91a5eed87e41590d65ff964ff8f08f849610fa2b2ae77c8b6bdc443b1f395"),
+    (("inversions", "--p", "29", "--precision", "2"),
+     "5c5a3f64ccd072ed9907039a4d41e25cbfd546bbec7a959e683b01d34fc69c45"),
+    (("sim-inversions", "--p", "29", "--iterations", "300", "--seed", "7"),
+     "7d8d45cfa2e67ed3c75a0f62bdc8e317f707feed65580221e59e75734a9696d1"),
+    (("sim-inversions", "--p", "29", "--iterations", "300", "--seed", "7", "--format", "json"),
+     "72653e19c91459687e314f14d5e59ab011d0a14d56d735e1fb1d3e8b1f6d29bd"),
+    (("sim-inversions", "--p", "29", "--iterations", "300", "--seed", "7", "--format", "svg"),
+     "751e4361a1eae205864f26404749092c68b598a5f1bbb3f69c7be56a7e56d6bc"),
+    (("sim-inversions", "--p", "29", "--config", "defaults.cfg"),
+     "2be9903e1e79ee163bbc9fb1b8ede316b9cf9eb380af5d619a1fc8f62979e41e"),
+    (("runs", "--p", "7"),
+     "4aa68fc1caaf9d7266471688c00804eb702616df9826d5527cd8cdb2126b50d7"),
+    (("runs", "--p", "7", "--format", "json"),
+     "08334fd5a1c64ae358cc68852ff6bdbedc0c5eb5d69e93874016f53be814d10a"),
+    (("runs", "--scan", "20"),
+     "578e240f570104abda3ce96c688fdf8e248e5d43a09382fea5b9f6392b96d296"),
+    (("runs", "--scan", "20", "--format", "json"),
+     "a98ebbce54b9b0d0ead004351ff422a682d73ede6c89cae1f0793c2d1a8946f6"),
+    (("runs", "--scan", "20", "--format", "svg"),
+     "a97901065448e6069df598cc466d6b4e787229a7ee53b36d24fc717929a25a75"),
+    (("pairs", "--p", "13"),
+     "bd40aadb73b7fba9acc6823f621cb4009ef112df514e24b8ca486e5c01bd5d70"),
+    (("pairs", "--p", "13", "--format", "json"),
+     "a47002c96437def394fda4ff94aa67f10288108e601dd87e5eb0714e0dff8753"),
+    (("sim-runs", "--p", "97", "--iterations", "300", "--seed", "7"),
+     "5105a9f0817cd4274354e334969635e266574ff7c0ca8a1ec6fc3dd323e76f3f"),
+    (("sim-runs", "--p", "97", "--iterations", "300", "--seed", "7", "--format", "json"),
+     "3ad2535af067bc8cfce7053c596ce1e71722b287e25e916dd227744617966c14"),
+    (("sim-runs", "--p", "97", "--iterations", "300", "--seed", "7", "--format", "svg"),
+     "45c59465869d36e9270ee035e3a3d90e9292a802b477781a913c9f49e6bd9ee8"),
+    (("sim-runs", "--p", "97", "--iterations", "300", "--seed", "7", "--workers", "2"),
+     "25c59f32701e8bd60f733c306b6959bcf226dc9904cab757bfcf3a766c72c83b"),
+    (("scan", "--count", "20"),
+     "578e240f570104abda3ce96c688fdf8e248e5d43a09382fea5b9f6392b96d296"),
+    (("scan", "--count", "20", "--format", "json"),
+     "a98ebbce54b9b0d0ead004351ff422a682d73ede6c89cae1f0793c2d1a8946f6"),
+    (("scan", "--count", "20", "--format", "svg"),
+     "a97901065448e6069df598cc466d6b4e787229a7ee53b36d24fc717929a25a75"),
+    (("scan", "--p-max", "60"),
+     "0ef282b4dfe9f565bb9034b9fe5ceef290794bb40cdf5ba250bf3eb2f8fcde09"),
+    (("scan", "--config", "defaults.cfg"),
+     "df5c5a665ac635fd9e02d4aea43cce89859de8483eefc8bcb8a6e14fa5b6d5ba"),
+    (("dlog", "--p", "11", "--g", "2", "--a", "7"),
+     "3a6fb0b76a928c692024344e5a5839a5ac0f1f7765e27971b1ff771c4d9ce043"),
+    (("dlog", "--p", "11", "--g", "2", "--a", "7", "--format", "json"),
+     "3a340fb695137b7499fc719b8e5e4dc1597ef36f318264865531357d4fe55080"),
+    (("sqrt", "--p", "8191", "--a", "2"),
+     "54c948ce8e62335b0fdae913cb634f2db3b7b1a9d14ffc37cb6a73097d803a45"),
+    (("sqrt", "--p", "8191", "--a", "2", "--format", "json"),
+     "dcada9bb1c8952e3ce9575468564affaf02e1dd75b5f984c98582ba614cdcf33"),
+    (("repro", "--out-dir", "art", "--iterations", "200", "--seed", "5"),
+     "9d65cf0861e5faf82505aedb971218bf0eb7d3c2619ec3441793f1fed5e9ffe7"),
+    (("repro", "--out-dir", "art", "--iterations", "200", "--seed", "5", "--format", "json"),
+     "30e487a54240ad79690d8263880b609a133979366aea70753cb4adc6cb1dbe07"),
+]
+GOLDEN_REPRO_ARTIFACTS = "c7aba83c9c0b902a602bab4214fcefe88a2ab6d89a48163a2db7791d13d618d1"
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(argv) for argv, _ in GOLDEN])
+def test_golden_output(tmp_path, monkeypatch, argv, digest):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "defaults.cfg").write_text(GOLDEN_CONFIG)
+    assert hashlib.sha256(run_to_file(tmp_path, "out", list(argv))).hexdigest() == digest
+
+
+def test_golden_repro_artifacts(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_to_file(tmp_path, "manifest.csv", ["repro", "--out-dir", "art", "--iterations", "200", "--seed", "5"])
+    digest = hashlib.sha256()
+    for path in sorted((tmp_path / "art").iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == GOLDEN_REPRO_ARTIFACTS
