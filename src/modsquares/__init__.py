@@ -30,7 +30,6 @@ from .genseq import (
 from .modarith import (
     MAX_MODULUS,
     OddPrime,
-    Residue,
     Symbol,
     discrete_log,
     first_odd_primes,
@@ -38,9 +37,7 @@ from .modarith import (
     iter_odd_primes,
     legendre_euler,
     legendre_reciprocity,
-    mul_mod,
     odd_primes_below,
-    pow_mod,
     residue_rule,
     sqrt_mod,
 )
@@ -93,7 +90,6 @@ __all__ = [
     "PairCounts",
     "PrimitiveRootSet",
     "RNG_ALGORITHM",
-    "Residue",
     "RunsScan",
     "SimConfig",
     "SimReport",
@@ -120,10 +116,8 @@ __all__ = [
     "legendre_pair_counts",
     "legendre_reciprocity",
     "legendre_sequence",
-    "mul_mod",
     "odd_primes_below",
     "pair_counts",
-    "pow_mod",
     "primitive_roots",
     "random_fixed_cycle",
     "residue_rule",

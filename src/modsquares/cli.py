@@ -21,11 +21,12 @@ import sys
 from csv import writer as csv_writer
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, starmap
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .genseq import lcg_orbit, generator_cycle, square_cycle, squares_set
+from .genseq import lcg_orbit, generator_cycle, square_cycle
 from .modarith import discrete_log, legendre_euler, sqrt_mod
 from .permstats import (
     SimConfig,
@@ -46,7 +47,7 @@ from .runstats import (
     simulate_runs,
 )
 
-__all__ = ["ExitStatus", "emit_csv", "emit_svg_histogram", "main", "run_command"]
+__all__ = ["ExitStatus", "emit_csv", "emit_svg_histogram", "main"]
 
 #: The config-file keys, each with its built-in value.  The seed is fixed so
 #: bare invocations are already reproducible; `scan` is the prime count of
@@ -114,8 +115,12 @@ def emit_csv(rows, header, footers=None, precision: int = DEFAULTS["precision"])
     buf = io.StringIO()
     w = csv_writer(buf, lineterminator="\n")
     w.writerow(header)
-    for row in rows:
-        w.writerow([_fmt(v, precision) if isinstance(v, (int, float, Fraction)) else v for v in row])
+    if rows and set(map(type, chain.from_iterable(rows))) == {int}:
+        # all plain ints (not bool): str() is what _fmt gives and csv never quotes
+        buf.writelines(starmap((",".join(["{}"] * arity) + "\n").format, rows))
+    else:
+        for row in rows:
+            w.writerow([_fmt(v, precision) if isinstance(v, (int, float, Fraction)) else v for v in row])
     for key, value in (footers or {}).items():
         buf.write(f"# {key}={_fmt(value, precision)}\n")
     return buf.getvalue().encode("utf-8")
@@ -241,9 +246,8 @@ def _res_legendre(p: int) -> CommandResult:
     return CommandResult(
         inputs={"command": "legendre", "p": p},
         header=["a", "symbol"],
-        rows=[(a, s) for a, s in enumerate(seq.symbols, start=1)],
-        footers={"n_plus": sum(1 for s in seq if s == 1),
-                 "n_minus": sum(1 for s in seq if s == -1)},
+        rows=list(enumerate(seq.symbols, start=1)),
+        footers={"n_plus": seq.symbols.count(1), "n_minus": seq.symbols.count(-1)},
     )
 
 
@@ -269,7 +273,7 @@ def _res_cycle(p: int, g: int) -> CommandResult:
 
 def _res_squares(p: int, g: int | None) -> CommandResult:
     if g is None:
-        values = sorted(squares_set(p))
+        values = [a for a, s in enumerate(legendre_sequence(p).symbols, start=1) if s == 1]
         return CommandResult(
             inputs={"command": "squares", "p": p, "g": None},
             header=["value"],
@@ -542,11 +546,12 @@ COMMANDS: dict[str, Command] = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(commands: dict[str, Command] = COMMANDS) -> _Parser:
+    """The argparse parser with a subparser for each entry of `commands`."""
     parser = _Parser(prog="modsquares", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
+    for name, command in commands.items():
         sub = subs.add_parser(name, help=command.help)
         for option, kwargs in _OUTPUT_FLAGS + command.flags:
             if isinstance(option, str):
@@ -619,7 +624,12 @@ def _render(result: CommandResult, fmt: str, precision: int) -> bytes:
 
 def main(argv: list[str] | None = None) -> int:
     """Parse argv, run one subcommand, write its output; returns the exit code."""
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # A named subcommand needs only its own subparser; anything else (no
+    # argv, a flag, an unknown name) gets the full table for help and errors.
+    name = argv[0] if argv else None
+    parser = build_parser({name: COMMANDS[name]} if name in COMMANDS else COMMANDS)
     try:
         args = parser.parse_args(argv)
         _resolve(args)
@@ -643,11 +653,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return int(ExitStatus.INTERNAL)
     return int(ExitStatus.OK)
-
-
-def run_command(argv: list[str]) -> int:
-    """Programmatic entry point: like `main`, but argv is required."""
-    return main(argv)
 
 
 if __name__ == "__main__":

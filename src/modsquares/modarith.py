@@ -23,7 +23,6 @@ from functools import lru_cache
 __all__ = [
     "MAX_MODULUS",
     "OddPrime",
-    "Residue",
     "Symbol",
     "discrete_log",
     "first_odd_primes",
@@ -31,9 +30,7 @@ __all__ = [
     "iter_odd_primes",
     "legendre_euler",
     "legendre_reciprocity",
-    "mul_mod",
     "odd_primes_below",
-    "pow_mod",
     "residue_rule",
     "sqrt_mod",
 ]
@@ -156,61 +153,6 @@ def prime_value(p: int | OddPrime) -> int:
     if isinstance(p, OddPrime):
         return p.value
     return OddPrime(p).value
-
-
-@dataclass(frozen=True)
-class Residue:
-    """An integer reduced modulo m, i.e. a point of Z/mZ."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        if self.modulus >= MAX_MODULUS:
-            raise ValueError(f"modulus must be below 2**63, got {self.modulus}")
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(
-                f"value {self.value} outside [0, {self.modulus})"
-            )
-
-    def __int__(self) -> int:
-        return self.value
-
-    def mul(self, other: "Residue | int") -> "Residue":
-        b = other.value if isinstance(other, Residue) else other % self.modulus
-        if isinstance(other, Residue) and other.modulus != self.modulus:
-            raise ValueError("mismatched moduli")
-        return Residue(mul_mod(self.value, b, self.modulus), self.modulus)
-
-    def pow(self, exp: int) -> "Residue":
-        return Residue(pow_mod(self.value, exp, self.modulus), self.modulus)
-
-
-def _check_modulus(m: int) -> None:
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    if m >= MAX_MODULUS:
-        raise ValueError(f"modulus must be below 2**63, got {m}")
-
-
-def mul_mod(a: int, b: int, m: int) -> int:
-    """(a * b) mod m for reduced operands 0 <= a, b < m."""
-    _check_modulus(m)
-    if not (0 <= a < m and 0 <= b < m):
-        raise ValueError(f"operands must lie in [0, {m}), got {a}, {b}")
-    return a * b % m
-
-
-def pow_mod(base: int, exp: int, m: int) -> int:
-    """base**exp mod m by square-and-multiply; exp = 0 gives 1 mod m."""
-    _check_modulus(m)
-    if not 0 <= base < m:
-        raise ValueError(f"base must lie in [0, {m}), got {base}")
-    if exp < 0:
-        raise ValueError(f"exponent must be non-negative, got {exp}")
-    return pow(base, exp, m)
 
 
 def legendre_euler(a: int, p: int | OddPrime) -> Symbol:

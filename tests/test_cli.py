@@ -1,18 +1,25 @@
 """CLI surface: exit codes, output formats, determinism, config handling."""
 
+import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from modsquares import cli
-from modsquares.cli import ExitStatus, emit_csv, emit_svg_histogram, main, run_command
+from modsquares.cli import ExitStatus, emit_csv, emit_svg_histogram, main
+from modsquares.genseq import squares_set
+from modsquares.modarith import odd_primes_below
 from modsquares.permstats import SimConfig, SimReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -74,10 +81,6 @@ class TestExitCodes:
         assert main(["legendre", "--p", "11"]) == ExitStatus.INTERNAL
         assert "internal error" in capsys.readouterr().err
 
-    def test_run_command_alias(self, capsys):
-        assert run_command(["runs", "--p", "7"]) == 0
-        capsys.readouterr()
-
     def test_svg_refused_before_computing(self, capsys, monkeypatch):
         def boom(p):
             raise RuntimeError("computed before refusing --format svg")
@@ -111,6 +114,137 @@ class TestExitCodes:
         bad = subprocess.run(command, env=env, capture_output=True)
         assert bad.returncode == ExitStatus.USAGE
         assert b"error:" in bad.stderr
+
+
+# One argv per subcommand, each using its own flags and some output flags.
+SAMPLE_ARGV = {
+    "legendre": ["--p", "11", "--format", "json"],
+    "primroots": ["--p", "29", "--precision", "3"],
+    "cycle": ["--p", "11", "--g", "2"],
+    "squares": ["--p", "11", "--g", "2", "--out", "sq.csv"],
+    "period": ["--m", "8191", "--a", "1904"],
+    "inversions": ["--p", "29", "--config", "defaults.cfg"],
+    "sim-inversions": ["--p", "29", "--iterations", "300", "--seed", "7", "--workers", "2"],
+    "runs": ["--scan", "20", "--format", "svg"],
+    "pairs": ["--p", "13"],
+    "sim-runs": ["--p", "97", "--iterations", "5"],
+    "scan": ["--p-max", "60"],
+    "dlog": ["--p", "11", "--g", "2", "--a", "7"],
+    "sqrt": ["--p", "8191", "--a", "2", "--g", "17"],
+    "repro": ["--out-dir", "art", "--seed", "5"],
+}
+
+
+def subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestOneCommandParser:
+    """`main` builds only the named subcommand's parser; it must act as the full one."""
+
+    def test_sample_argv_covers_every_command(self):
+        assert list(SAMPLE_ARGV) == list(cli.COMMANDS)
+
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_same_help_and_namespace(self, name):
+        full = cli.build_parser()
+        one = cli.build_parser({name: cli.COMMANDS[name]})
+        assert list(subparsers(one)) == [name]
+        assert list(subparsers(full)) == list(cli.COMMANDS)
+        assert subparsers(one)[name].format_help() == subparsers(full)[name].format_help()
+        argv = [name, *SAMPLE_ARGV[name]]
+        ours, theirs = one.parse_args(argv), full.parse_args(argv)
+        assert ours == theirs
+        assert ours.handler is theirs.handler is cli.COMMANDS[name].handler
+
+    def test_main_builds_one_command_or_the_full_table(self, monkeypatch, capsys):
+        seen = []
+        build = cli.build_parser
+
+        def spy(commands=cli.COMMANDS):
+            seen.append(list(commands))
+            return build(commands)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        main(["runs", "--p", "7"])
+        for argv in ([], ["bogus"], ["--version"], ["--help"], ["--p", "7"]):
+            main(argv)
+        capsys.readouterr()
+        assert seen == [["runs"]] + [list(cli.COMMANDS)] * 5
+
+    def test_argv_none_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["modsquares", "runs", "--p", "7"])
+        assert main() == ExitStatus.OK
+        assert capsys.readouterr().out == "p,n_plus,n_minus,runs,expected_runs\n7,3,3,4,4\n"
+
+    def test_top_level_exit_codes(self, capsys):
+        assert main([]) == ExitStatus.USAGE
+        assert "required: command" in capsys.readouterr().err
+        assert main(["--version"]) == ExitStatus.OK
+        assert capsys.readouterr().out.startswith("modsquares ")
+        assert main(["bogus"]) == ExitStatus.USAGE
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        assert len(cli.COMMANDS) == 14
+        for name in cli.COMMANDS:
+            assert repr(name) in err
+
+
+def reference_csv(rows, header, footers=None, precision=6):
+    """The csv.writer + _fmt rendering of every table, as emit_csv had it
+    before integer tables got their own path."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([cli._fmt(v, precision) if isinstance(v, (int, float, Fraction)) else v for v in row])
+    for key, value in (footers or {}).items():
+        buf.write(f"# {key}={cli._fmt(value, precision)}\n")
+    return buf.getvalue().encode("utf-8")
+
+
+INTS = st.one_of(st.integers(-10**6, 10**6), st.integers(2**63, 2**80), st.integers(-2**80, -2**63))
+CELLS = st.one_of(
+    INTS,
+    st.booleans(),
+    st.fractions(max_denominator=50),
+    st.floats(allow_nan=False),
+    st.just(""),
+    st.text(alphabet=st.sampled_from('ab ,"\n\r-1'), max_size=6),
+)
+
+
+@st.composite
+def tables(draw, cells):
+    arity = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[cells] * arity), max_size=12))
+    header = [f"c{i}" for i in range(arity)]
+    footers = draw(st.dictionaries(st.sampled_from(["n", "mean"]), st.one_of(INTS, st.fractions())))
+    return rows, header, footers
+
+
+class TestEmitCsvFastPath:
+    @given(tables(INTS), st.integers(0, 8))
+    def test_integer_tables_match_the_reference(self, table, precision):
+        rows, header, footers = table
+        assert emit_csv(rows, header, footers, precision) == reference_csv(rows, header, footers, precision)
+
+    @given(tables(CELLS), st.integers(0, 8))
+    def test_mixed_tables_match_the_reference(self, table, precision):
+        rows, header, footers = table
+        assert emit_csv(rows, header, footers, precision) == reference_csv(rows, header, footers, precision)
+
+    def test_bools_are_not_taken_for_ints(self):
+        assert emit_csv([(True, False), (3, -4)], ["a", "b"]) == b"a,b\n1,0\n3,-4\n"
+
+    def test_arity_mismatch_after_integer_rows(self):
+        with pytest.raises(RuntimeError, match="row arity 1 does not match header arity 2"):
+            emit_csv([(1, 2), (3,)], ["a", "b"])
+
+
+def test_sorted_squares_from_symbols():
+    for p in odd_primes_below(3000):
+        assert cli._res_squares(p, None).rows == [(v,) for v in sorted(squares_set(p))]
 
 
 class TestCsvOutput:

@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from modsquares.modarith import (
-    MAX_MODULUS,
     OddPrime,
-    Residue,
     Symbol,
     discrete_log,
     first_odd_primes,
@@ -16,9 +14,7 @@ from modsquares.modarith import (
     iter_odd_primes,
     legendre_euler,
     legendre_reciprocity,
-    mul_mod,
     odd_primes_below,
-    pow_mod,
     residue_rule,
     sqrt_mod,
 )
@@ -93,83 +89,6 @@ class TestOddPrime:
         p = OddPrime(8191)
         assert int(p) == 8191
         assert range(int(p))[-1] == 8190
-
-
-class TestResidue:
-    def test_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            Residue(11, 11)
-        with pytest.raises(ValueError):
-            Residue(-1, 11)
-        with pytest.raises(ValueError):
-            Residue(0, 1)
-
-    def test_mul_and_pow(self):
-        r = Residue(128, 8191)
-        assert int(r.mul(r)) == 2
-        assert int(r.pow(2)) == 2
-
-    def test_mismatched_moduli(self):
-        with pytest.raises(ValueError):
-            Residue(1, 11).mul(Residue(1, 13))
-
-
-class TestMulMod:
-    def test_zero_annihilates(self):
-        assert mul_mod(0, 1234, 8191) == 0
-
-    def test_orbit_steps(self):
-        # successive states of the multiplier-1904 walk mod 8191
-        assert mul_mod(1904, 1, 8191) == 1904
-        assert mul_mod(1904, 1904, 8191) == 4794
-        assert mul_mod(1904, 4794, 8191) == 3002
-        assert mul_mod(1904, 3002, 8191) == 6681
-        assert mul_mod(1904, 6681, 8191) == 1
-
-    def test_square_of_128(self):
-        assert mul_mod(128, 128, 8191) == 2
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            mul_mod(0, 0, 1)
-        with pytest.raises(ValueError):
-            mul_mod(5, 2, 4)
-        with pytest.raises(ValueError):
-            mul_mod(1, 1, MAX_MODULUS)
-
-    @given(st.integers(2, 10**9), st.data())
-    def test_matches_plain_arithmetic(self, m, data):
-        a = data.draw(st.integers(0, m - 1))
-        b = data.draw(st.integers(0, m - 1))
-        assert mul_mod(a, b, m) == (a * b) % m
-
-
-class TestPowMod:
-    def test_zero_exponent(self):
-        assert pow_mod(5, 0, 11) == 1
-        assert pow_mod(0, 0, 11) == 1
-
-    def test_powers_of_two_mod_8191(self):
-        assert pow_mod(2, 12, 8191) == 4096
-        assert pow_mod(2, 13, 8191) == 1
-
-    def test_euler_criterion_for_two(self):
-        # consistent with (2/8191) = +1
-        assert pow_mod(2, (8191 - 1) // 2, 8191) == 1
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            pow_mod(1, 2, 1)
-        with pytest.raises(ValueError):
-            pow_mod(3, 2, 3)
-        with pytest.raises(ValueError):
-            pow_mod(1, -1, 5)
-
-    @given(st.integers(2, 10**6), st.data())
-    def test_matches_builtin_pow(self, m, data):
-        base = data.draw(st.integers(0, m - 1))
-        exp = data.draw(st.integers(0, 10**6))
-        assert pow_mod(base, exp, m) == pow(base, exp, m)
 
 
 class TestLegendreEuler:
