@@ -38,6 +38,7 @@ from .modarith import (
     legendre_euler,
     legendre_reciprocity,
     odd_primes_below,
+    pow_mod,
     residue_rule,
     sqrt_mod,
 )
@@ -118,6 +119,7 @@ __all__ = [
     "legendre_sequence",
     "odd_primes_below",
     "pair_counts",
+    "pow_mod",
     "primitive_roots",
     "random_fixed_cycle",
     "residue_rule",

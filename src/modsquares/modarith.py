@@ -31,6 +31,7 @@ __all__ = [
     "legendre_euler",
     "legendre_reciprocity",
     "odd_primes_below",
+    "pow_mod",
     "residue_rule",
     "sqrt_mod",
 ]
@@ -153,6 +154,23 @@ def prime_value(p: int | OddPrime) -> int:
     if isinstance(p, OddPrime):
         return p.value
     return OddPrime(p).value
+
+
+def _check_modulus(m: int) -> None:
+    if m < 2:
+        raise ValueError(f"modulus must be >= 2, got {m}")
+    if m >= MAX_MODULUS:
+        raise ValueError(f"modulus must be below 2**63, got {m}")
+
+
+def pow_mod(base: int, exp: int, m: int) -> int:
+    """base**exp mod m by square-and-multiply; exp = 0 gives 1 mod m."""
+    _check_modulus(m)
+    if not 0 <= base < m:
+        raise ValueError(f"base must lie in [0, {m}), got {base}")
+    if exp < 0:
+        raise ValueError(f"exponent must be non-negative, got {exp}")
+    return pow(base, exp, m)
 
 
 def legendre_euler(a: int, p: int | OddPrime) -> Symbol:

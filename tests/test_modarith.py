@@ -15,6 +15,7 @@ from modsquares.modarith import (
     legendre_euler,
     legendre_reciprocity,
     odd_primes_below,
+    pow_mod,
     residue_rule,
     sqrt_mod,
 )
@@ -89,6 +90,34 @@ class TestOddPrime:
         p = OddPrime(8191)
         assert int(p) == 8191
         assert range(int(p))[-1] == 8190
+
+
+class TestPowMod:
+    def test_zero_exponent(self):
+        assert pow_mod(5, 0, 11) == 1
+        assert pow_mod(0, 0, 11) == 1
+
+    def test_powers_of_two_mod_8191(self):
+        assert pow_mod(2, 12, 8191) == 4096
+        assert pow_mod(2, 13, 8191) == 1
+
+    def test_euler_criterion_for_two(self):
+        # consistent with (2/8191) = +1
+        assert pow_mod(2, (8191 - 1) // 2, 8191) == 1
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ValueError):
+            pow_mod(1, 2, 1)
+        with pytest.raises(ValueError):
+            pow_mod(3, 2, 3)
+        with pytest.raises(ValueError):
+            pow_mod(1, -1, 5)
+
+    @given(st.integers(2, 10**6), st.data())
+    def test_matches_builtin_pow(self, m, data):
+        base = data.draw(st.integers(0, m - 1))
+        exp = data.draw(st.integers(0, 10**6))
+        assert pow_mod(base, exp, m) == pow(base, exp, m)
 
 
 class TestLegendreEuler:
