@@ -637,7 +637,7 @@ def main(argv: list[str] | None = None) -> int:
             raise _no_svg(args.command)  # refused before any work is done
         result = args.handler(args)
         _write(_render(result, args.format, args.precision), args.out)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:  # OSError: an unwritable --out/--out-dir
         print(f"error: {exc}", file=sys.stderr)
         return int(ExitStatus.USAGE)
     except SystemExit as exc:  # --help / --version

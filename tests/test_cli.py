@@ -1,6 +1,7 @@
 """CLI surface: exit codes, output formats, determinism, config handling."""
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -104,6 +105,18 @@ class TestExitCodes:
         for flag in ("--iterations", "--workers"):
             assert main(["sim-runs", "--p", "97", flag, "0"]) == ExitStatus.USAGE
             assert f"{flag} must be >= 1" in capsys.readouterr().err
+
+    def test_unwritable_output_is_a_usage_error(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        for argv in (["legendre", "--p", "11", "--out", str(tmp_path / "missing" / "x.csv")],
+                     ["legendre", "--p", "11", "--out", str(tmp_path)],
+                     ["repro", "--iterations", "10", "--out-dir", str(tmp_path / "file" / "artifacts")]):
+            proc = subprocess.run([sys.executable, "-m", "modsquares.cli", *argv],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode == ExitStatus.USAGE, argv
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_console_entry_carries_exit_code(self):
         env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -317,7 +330,11 @@ class TestCsvOutput:
 class TestDeterminism:
     def test_identical_argv_identical_bytes(self, tmp_path):
         argv = ["sim-inversions", "--p", "29", "--iterations", "800", "--seed", "99"]
-        assert run_to_file(tmp_path, "a.csv", argv) == run_to_file(tmp_path, "b.csv", argv)
+        data = run_to_file(tmp_path, "a.csv", argv)
+        assert run_to_file(tmp_path, "b.csv", argv) == data
+        with contextlib.redirect_stdout(io.StringIO()) as text:  # a stdout without .buffer
+            assert main(argv) == ExitStatus.OK
+        assert text.getvalue().encode() == data
 
     def test_workers_above_one_still_deterministic(self, tmp_path):
         argv = [
@@ -369,6 +386,8 @@ class TestSvgOutput:
         data = run_to_file(tmp_path, "s.svg", ["scan", "--count", "50", "--format", "svg"])
         ET.fromstring(data.decode())
         assert data.decode().count("<circle") == 50
+        with pytest.raises(ValueError, match="empty scatter"):
+            cli.emit_svg_scatter([], "empty", "p", "runs")
 
     def test_single_bin_histogram(self):
         config = SimConfig(seed=1, iterations=5)
@@ -409,9 +428,11 @@ class TestConfigFile:
 
     def test_bad_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("workers: 3\n")
-        assert main(["scan", "--count", "5", "--config", str(cfg)]) == ExitStatus.USAGE
-        capsys.readouterr()
+        for text, message in [("workers: 3\n", "expected 'key=value'"),
+                              ("seed=abc\n", "value for seed must be an integer")]:
+            cfg.write_text(text)
+            assert main(["scan", "--count", "5", "--config", str(cfg)]) == ExitStatus.USAGE
+            assert message in capsys.readouterr().err
 
     def test_config_counts_below_one(self, tmp_path, capsys):
         for key in ("iterations", "workers"):

@@ -46,6 +46,10 @@ class TestLcgOrbit:
         with pytest.raises(ValueError):
             lcg_orbit(1, 1)
 
+    def test_rejects_modulus_beyond_63_bits(self):
+        with pytest.raises(ValueError, match=r"modulus must be below 2\*\*63"):
+            lcg_orbit(3, 2**63)
+
     def test_period_divides_p_minus_1(self):
         for p in (11, 29, 97):
             for a in range(1, p):

@@ -1,6 +1,7 @@
 """Backend parity: the compiled kernels must match the pure-Python twin bit for bit."""
 
 import ctypes
+import os
 import shutil
 import subprocess
 import sys
@@ -171,6 +172,35 @@ def test_build_module_compiles_warning_free_loadable_library(tmp_path, monkeypat
     library = build.build(tmp_path / Path(build.LIBRARY).name)
     assert ctypes.CDLL(str(library)).msq_abi_version() == 1
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_setup_py_builds_the_library_or_warns_and_builds_none(tmp_path):
+    inplace = Path(build.LIBRARY)
+
+    def fingerprint():
+        if not inplace.exists():
+            return None
+        stat = inplace.stat()
+        return stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+    before = fingerprint()
+
+    def build_ext(name, **env):
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, "setup.py", "build_ext", "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")],
+            cwd=Path(__file__).resolve().parents[1], env={**os.environ, **env},
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stderr, list(out.rglob(inplace.name))
+
+    _, built = build_ext("strict", CFLAGS="-Werror")
+    assert [ctypes.CDLL(str(library)).msq_abi_version() for library in built] == [1]
+    stderr, built = build_ext("failing", CC="false")
+    assert 'building extension "modsquares._kernels.kernels" failed' in stderr
+    assert built == []
+    assert fingerprint() == before
 
 
 def test_without_the_library_the_package_falls_back_to_python(tmp_path):
