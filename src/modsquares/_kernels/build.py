@@ -4,9 +4,9 @@
 
 Compiles `kernels.c` into a shared library next to it, which
 `_ckernels` loads with ctypes.  `$CC` picks the compiler (default
-`cc`).  `setup.py build_ext --inplace` builds the same file.  The new
-library replaces the old one by rename, so a process that has the old
-one loaded keeps working.
+`cc`).  `setup.py build_ext --inplace` builds the same file, with the
+same machine code.  The new library replaces the old one by rename, so
+a process that has the old one loaded keeps working.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from pathlib import Path
 from . import LIBRARY
 
 SOURCE = Path(__file__).with_name("kernels.c")
-CFLAGS = ("-O3", "-Wall", "-Wextra", "-shared", "-fPIC")
+# setuptools compiles with Python's own CFLAGS, which carry -fwrapv; with
+# it here too, this build and `setup.py build_ext` give the same machine code.
+CFLAGS = ("-O3", "-fwrapv", "-Wall", "-Wextra", "-shared", "-fPIC")
 
 
 def build(output: str | Path = LIBRARY) -> Path:

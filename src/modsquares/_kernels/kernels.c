@@ -12,6 +12,8 @@
  * Lengths are signed, and a negative one counts as zero.
  *
  * Build: python -m modsquares._kernels.build   (or setup.py build_ext)
+ * Both pass -fwrapv (setuptools takes it from Python's CFLAGS), so the
+ * two libraries have byte-identical .text sections.
  */
 
 #include <stdint.h>

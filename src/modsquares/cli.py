@@ -74,10 +74,7 @@ class CommandResult:
     header: list[str]
     rows: list[tuple]
     footers: dict = field(default_factory=dict)
-    report: SimReport | None = None  # histogram commands (enables SVG bars)
-    scatter: bool = False  # scatter commands (enables SVG points)
-    title: str = ""
-    xlabel: str = ""
+    chart: Callable[[], bytes] | None = None  # draws the SVG; None: no SVG
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,7 +96,9 @@ def _fmt(x, precision: int) -> str:
             return str(x.numerator)
         x = float(x)
     if isinstance(x, float):
-        s = f"{x:.{precision}f}".rstrip("0").rstrip(".")
+        # A double's exact decimal expansion ends within 1074 places after
+        # the point, so more digits are zeros that the strip below removes.
+        s = f"{x:.{min(precision, 1074)}f}".rstrip("0").rstrip(".")
         return s if s and s != "-" else "0"
     return str(x)
 
@@ -149,9 +148,13 @@ def emit_json(result: CommandResult) -> bytes:
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
+#: The plot box of every chart: left, top, right and bottom edges.
+_PLOT = (64, 40, 780, 370)
+
+
 def _svg_doc(body: list[str], title: str, xlabel: str, ylabel: str) -> bytes:
     width, height = 800, 420
-    x0, y0, x1, y1 = 64, 40, 780, 370
+    x0, y0, x1, y1 = _PLOT
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="12">',
@@ -183,7 +186,7 @@ def emit_svg_histogram(report: SimReport, title: str, xlabel: str) -> bytes:
     hist = report.histogram
     if not hist:
         raise ValueError("cannot render an empty histogram")
-    x0, y0, x1, y1 = 64, 40, 780, 370
+    x0, y0, x1, y1 = _PLOT
     vmin, vmax = min(hist), max(hist)
     span = vmax - vmin + 1
     cmax = max(hist.values())
@@ -207,7 +210,7 @@ def emit_svg_scatter(rows, title: str, xlabel: str, ylabel: str) -> bytes:
     """Self-contained SVG scatter plot of (x, y) integer pairs."""
     if not rows:
         raise ValueError("cannot render an empty scatter")
-    x0, y0, x1, y1 = 64, 40, 780, 370
+    x0, y0, x1, y1 = _PLOT
     xs = [r[0] for r in rows]
     ys = [r[1] for r in rows]
     vmin, vmax = min(xs), max(xs)
@@ -261,14 +264,17 @@ def _res_primroots(p: int) -> CommandResult:
     )
 
 
-def _res_cycle(p: int, g: int) -> CommandResult:
-    cycle = generator_cycle(g, p)
+def _orbit_result(inputs: dict, states, footer_key: str) -> CommandResult:
     return CommandResult(
-        inputs={"command": "cycle", "p": p, "g": g},
+        inputs=inputs,
         header=["index", "value"],
-        rows=list(enumerate(cycle.states)),
-        footers={"period": cycle.period},
+        rows=list(enumerate(states)),
+        footers={footer_key: len(states)},
     )
+
+
+def _res_cycle(p: int, g: int) -> CommandResult:
+    return _orbit_result({"command": "cycle", "p": p, "g": g}, generator_cycle(g, p).states, "period")
 
 
 def _res_squares(p: int, g: int | None) -> CommandResult:
@@ -280,23 +286,11 @@ def _res_squares(p: int, g: int | None) -> CommandResult:
             rows=[(v,) for v in values],
             footers={"count": len(values)},
         )
-    cycle = square_cycle(g, p)
-    return CommandResult(
-        inputs={"command": "squares", "p": p, "g": g},
-        header=["index", "value"],
-        rows=list(enumerate(cycle.states)),
-        footers={"count": cycle.period},
-    )
+    return _orbit_result({"command": "squares", "p": p, "g": g}, square_cycle(g, p).states, "count")
 
 
 def _res_period(m: int, a: int) -> CommandResult:
-    orbit = lcg_orbit(a, m)
-    return CommandResult(
-        inputs={"command": "period", "m": m, "a": a},
-        header=["index", "value"],
-        rows=list(enumerate(orbit.states)),
-        footers={"period": orbit.period},
-    )
+    return _orbit_result({"command": "period", "m": m, "a": a}, lcg_orbit(a, m).states, "period")
 
 
 def _res_inversions(p: int) -> CommandResult:
@@ -314,33 +308,33 @@ def _res_inversions(p: int) -> CommandResult:
     )
 
 
-def _sim_footers(report: SimReport) -> dict:
-    cfg = report.config
-    return {
-        "sample_mean": report.sample_mean,
-        "sample_sd": report.sample_sd,
-        "iterations": cfg.iterations,
-        "seed": cfg.seed,
-        "streams": cfg.streams,
-        "rng_algorithm": cfg.rng_algorithm,
-    }
-
-
-def _res_sim_inversions(p: int, config: SimConfig, workers: int) -> CommandResult:
-    report = simulate_inversions(p, config, workers=workers)
-    mean, var = inversion_null_moments(p)
-    footers = _sim_footers(report)
-    footers["theory_mean"] = mean
-    footers["theory_sd"] = float(var) ** 0.5
+def _sim_result(command: str, p: int, seed: int, iterations: int, workers: int) -> CommandResult:
+    """The histogram of `sim-inversions` or `sim-runs` and its null moments."""
+    config = SimConfig(seed=seed, iterations=iterations, streams=workers)
+    if command == "sim-inversions":
+        report = simulate_inversions(p, config, workers=workers)
+        mean, var = inversion_null_moments(p)
+        label, null, title = "inversions", "theory", "random fixed-cycle inversions"
+    else:
+        report = simulate_runs(p, config, workers=workers)
+        mean, var = runs_null_moments((p - 1) // 2, (p - 1) // 2)
+        label, null, title = "runs", "null", "runs of shuffled balanced sequences"
+    title += f": p={p}, iterations={iterations}, seed={seed}"
     return CommandResult(
-        inputs={"command": "sim-inversions", "p": p, "iterations": config.iterations,
-                "seed": config.seed, "workers": workers},
-        header=["inversions", "count"],
+        inputs={"command": command, "p": p, "iterations": iterations, "seed": seed, "workers": workers},
+        header=[label, "count"],
         rows=list(report.histogram.items()),
-        footers=footers,
-        report=report,
-        title=f"random fixed-cycle inversions: p={p}, iterations={config.iterations}, seed={config.seed}",
-        xlabel="inversions",
+        footers={
+            "sample_mean": report.sample_mean,
+            "sample_sd": report.sample_sd,
+            "iterations": iterations,
+            "seed": seed,
+            "streams": workers,
+            "rng_algorithm": config.rng_algorithm,
+            f"{null}_mean": mean,
+            f"{null}_sd": float(var) ** 0.5,
+        },
+        chart=lambda: emit_svg_histogram(report, title, label),
     )
 
 
@@ -365,35 +359,15 @@ def _res_pairs(p: int) -> CommandResult:
     )
 
 
-def _res_sim_runs(p: int, config: SimConfig, workers: int) -> CommandResult:
-    report = simulate_runs(p, config, workers=workers)
-    half = (p - 1) // 2
-    mean, var = runs_null_moments(half, half)
-    footers = _sim_footers(report)
-    footers["null_mean"] = mean
-    footers["null_sd"] = float(var) ** 0.5
-    return CommandResult(
-        inputs={"command": "sim-runs", "p": p, "iterations": config.iterations,
-                "seed": config.seed, "workers": workers},
-        header=["runs", "count"],
-        rows=list(report.histogram.items()),
-        footers=footers,
-        report=report,
-        title=f"runs of shuffled balanced sequences: p={p}, iterations={config.iterations}, seed={config.seed}",
-        xlabel="runs",
-    )
-
-
 def _res_scan(count: int | None, p_max: int | None) -> CommandResult:
     scan = scan_runs(count=count, p_max=p_max)
+    title = f"Legendre-sequence runs for {len(scan)} odd primes"
     return CommandResult(
         inputs={"command": "scan", "count": count, "p_max": p_max},
         header=["p", "runs"],
         rows=list(scan.rows),
         footers={"primes": len(scan)},
-        scatter=True,
-        title=f"Legendre-sequence runs for {len(scan)} odd primes",
-        xlabel="p",
+        chart=lambda: emit_svg_scatter(scan.rows, title, "p", "runs"),
     )
 
 
@@ -423,25 +397,26 @@ def _res_sqrt(p: int, a: int, g: int | None) -> CommandResult:
 def _res_repro(out_dir: str, iterations: int, seed: int, precision: int) -> CommandResult:
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    config = SimConfig(seed=seed, iterations=iterations)
+    inversion_hist = _sim_result("sim-inversions", 29, seed, iterations, workers=1)
+    runs_hist = _sim_result("sim-runs", 97, seed, iterations, workers=1)
     artifacts: list[tuple[str, CommandResult]] = [
         ("orbit_m8191_a1904.csv", _res_period(8191, 1904)),
         ("primitive_roots_p29.csv", _res_primroots(29)),
         ("inversion_counts_p29.csv", _res_inversions(29)),
-        ("inversion_hist_p29.csv", _res_sim_inversions(29, config, workers=1)),
-        ("runs_hist_p97.csv", _res_sim_runs(97, config, workers=1)),
+        ("inversion_hist_p29.csv", inversion_hist),
+        ("inversion_hist_p29.svg", inversion_hist),
+        ("runs_hist_p97.csv", runs_hist),
+        ("runs_hist_p97.svg", runs_hist),
         ("legendre_small_primes.csv", _res_small_prime_table()),
         ("runs_scan_200.csv", _res_scan(DEFAULTS["scan"], None)),
     ]
     manifest = []
     for name, result in artifacts:
         path = directory / name
-        path.write_bytes(emit_csv(result.rows, result.header, result.footers, precision))
-        manifest.append((result.inputs["command"], str(path), len(result.rows)))
-        if result.report is not None:
-            svg_path = path.with_suffix(".svg")
-            svg_path.write_bytes(emit_svg_histogram(result.report, result.title, result.xlabel))
-            manifest.append((result.inputs["command"] + "-svg", str(svg_path), len(result.report.histogram)))
+        fmt = path.suffix[1:]
+        _write(_render(result, fmt, precision), str(path))
+        label = result.inputs["command"] + ("-svg" if fmt == "svg" else "")
+        manifest.append((label, str(path), len(result.rows)))
     return CommandResult(
         inputs={"command": "repro", "out_dir": out_dir, "iterations": iterations, "seed": seed},
         header=["artifact", "path", "rows"],
@@ -467,12 +442,12 @@ def _res_small_prime_table() -> CommandResult:
 
 class Command(NamedTuple):
     """One subcommand: its help line, its flags, the handler that turns the
-    parsed args into a CommandResult, and the SVG it draws, if any."""
+    parsed args into a CommandResult, and whether it can draw an SVG."""
 
     help: str
     flags: list
     handler: Callable[[argparse.Namespace], CommandResult]
-    svg: str | None = None
+    chart: bool = False
 
 
 # A flag is an (option, add_argument kwargs) pair; a ([flags], kwargs) pair
@@ -495,11 +470,7 @@ _G = ("--g", {"type": int, "required": True})
 _A = ("--a", {"type": int, "required": True})
 
 
-def _sim_config(args) -> SimConfig:
-    return SimConfig(seed=args.seed, iterations=args.iterations, streams=args.workers)
-
-
-# Handlers call the _res_* functions from inside lambdas, so the name is
+# Handlers call the result builders from inside lambdas, so the name is
 # looked up when the command runs and a patched or wrapped function is used.
 COMMANDS: dict[str, Command] = {
     "legendre": Command("Legendre symbols (a/p) for a = 1..p-1", [_P],
@@ -516,25 +487,25 @@ COMMANDS: dict[str, Command] = {
     "inversions": Command("inversion counts of every primitive-root cycle of p", [_P],
                           lambda a: _res_inversions(a.p)),
     "sim-inversions": Command("Monte Carlo inversion counts of random fixed cycles", [_P, *_SIM_FLAGS],
-                              lambda a: _res_sim_inversions(a.p, _sim_config(a), a.workers),
-                              svg="histogram"),
+                              lambda a: _sim_result("sim-inversions", a.p, a.seed, a.iterations, a.workers),
+                              chart=True),
     # `runs --scan N` is an alias of `scan --count N`, scatter plot included
     "runs": Command("runs of the Legendre sequence of p (or --scan N primes)",
                     [([("--p", {"type": int}), ("--scan", {"type": int, "metavar": "COUNT"})],
                       {"required": True})],
                     lambda a: _res_runs(a.p) if a.scan is None else _res_scan(a.scan, None),
-                    svg="scatter"),
+                    chart=True),
     "pairs": Command("observed vs predicted overlapping-pair counts for p", [_P],
                      lambda a: _res_pairs(a.p)),
     "sim-runs": Command("Monte Carlo run counts of shuffled balanced sequences", [_P, *_SIM_FLAGS],
-                        lambda a: _res_sim_runs(a.p, _sim_config(a), a.workers),
-                        svg="histogram"),
+                        lambda a: _sim_result("sim-runs", a.p, a.seed, a.iterations, a.workers),
+                        chart=True),
     "scan": Command("runs of the Legendre sequence over many primes",
                     [([("--count", {"type": int, "help": "first COUNT odd primes"}),
                        ("--p-max", {"type": int, "help": "all odd primes <= P_MAX"})],
                       {})],
                     lambda a: _res_scan(a.count, a.p_max),
-                    svg="scatter"),
+                    chart=True),
     "dlog": Command("discrete logarithm: the l with g^l = a (mod p)", [_P, _G, _A],
                     lambda a: _res_dlog(a.p, a.g, a.a)),
     "sqrt": Command("modular square root of a (mod p), via discrete log",
@@ -615,11 +586,9 @@ def _render(result: CommandResult, fmt: str, precision: int) -> bytes:
         return emit_csv(result.rows, result.header, result.footers, precision)
     if fmt == "json":
         return emit_json(result)
-    if result.report is not None:
-        return emit_svg_histogram(result.report, result.title, result.xlabel)
-    if result.scatter:
-        return emit_svg_scatter(result.rows, result.title, result.xlabel, "runs")
-    raise _no_svg(result.inputs["command"])  # `runs --p`
+    if result.chart is None:
+        raise _no_svg(result.inputs["command"])  # `runs --p`
+    return result.chart()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -633,7 +602,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         _resolve(args)
-        if args.format == "svg" and COMMANDS[args.command].svg is None:
+        if args.format == "svg" and not COMMANDS[args.command].chart:
             raise _no_svg(args.command)  # refused before any work is done
         result = args.handler(args)
         _write(_render(result, args.format, args.precision), args.out)

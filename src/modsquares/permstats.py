@@ -163,8 +163,10 @@ class SimConfig:
             )
 
     def stream_plan(self) -> list[tuple[int, int]]:
-        """(stream_seed, iteration_count) per stream; counts sum to iterations."""
-        seeds = stream_seeds(self.seed, self.streams)
+        """(stream_seed, iteration_count) per stream that draws; counts sum
+        to iterations.  Streams beyond the first `iterations` draw nothing
+        and are left out, so the plan never outgrows the draws."""
+        seeds = stream_seeds(self.seed, min(self.streams, self.iterations))
         base, extra = divmod(self.iterations, self.streams)
         return [(s, base + (1 if i < extra else 0)) for i, s in enumerate(seeds)]
 
@@ -201,13 +203,12 @@ def _run_partitioned(draw, plan, workers: int) -> list[int]:
     At most one thread per CPU runs, however many workers are asked for;
     the plan alone fixes the output.
     """
-    live = [(seed, n) for seed, n in plan if n > 0]
-    threads = min(workers, len(live), os.cpu_count() or 1)
+    threads = min(workers, len(plan), os.cpu_count() or 1)
     if threads <= 1:
-        chunks = [draw(seed, n) for seed, n in live]
+        chunks = [draw(seed, n) for seed, n in plan]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda sn: draw(*sn), live))
+            chunks = list(pool.map(lambda sn: draw(*sn), plan))
     out = []
     for chunk in chunks:
         out.extend(chunk)

@@ -326,6 +326,13 @@ class TestCsvOutput:
         )
         assert b"# sample_sd=26.019224\n" in fine
 
+    def test_precision_beyond_a_double_adds_nothing(self, tmp_path):
+        for x in (5e-324, 2.2250738585072014e-308, 0.1, 1 / 3):
+            assert cli._fmt(x, 10**12) == cli._fmt(x, 1074) == cli._fmt(x, 3000)
+            assert Fraction(cli._fmt(x, 10**12)) == Fraction(x)  # the exact expansion
+        argv = ["inversions", "--p", "29", "--precision"]
+        assert run_to_file(tmp_path, "a.csv", argv + [str(10**12)]) == run_to_file(tmp_path, "b.csv", argv + ["1074"])
+
 
 class TestDeterminism:
     def test_identical_argv_identical_bytes(self, tmp_path):
@@ -342,6 +349,12 @@ class TestDeterminism:
             "--seed", "4", "--workers", "3",
         ]
         assert run_to_file(tmp_path, "a.csv", argv) == run_to_file(tmp_path, "b.csv", argv)
+
+    def test_workers_beyond_iterations_add_nothing(self, tmp_path):
+        argv = ["sim-runs", "--p", "97", "--iterations", "10", "--workers"]
+        many = run_to_file(tmp_path, "a.csv", argv + [str(10**12)])
+        ten = run_to_file(tmp_path, "b.csv", argv + ["10"])
+        assert many.replace(b"# streams=1000000000000\n", b"# streams=10\n") == ten
 
     def test_default_seed_is_fixed(self, tmp_path):
         argv = ["sim-inversions", "--p", "29", "--iterations", "300"]
@@ -480,6 +493,27 @@ class TestRepro:
                          "--iterations", "200"]) == 0
         for name in ("inversion_hist_p29.csv", "runs_scan_200.csv"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+    def test_every_artifact_is_its_commands_output(self, tmp_path, capsys):
+        iterations, seed, precision = "150", "8", "3"
+        out_dir = tmp_path / "artifacts"
+        assert main(["repro", "--out-dir", str(out_dir), "--iterations", iterations,
+                     "--seed", seed, "--precision", precision]) == 0
+        capsys.readouterr()
+        sim = ["--iterations", iterations, "--seed", seed, "--workers", "1"]
+        commands = {
+            "orbit_m8191_a1904.csv": ["period", "--m", "8191", "--a", "1904"],
+            "primitive_roots_p29.csv": ["primroots", "--p", "29"],
+            "inversion_counts_p29.csv": ["inversions", "--p", "29"],
+            "inversion_hist_p29.csv": ["sim-inversions", "--p", "29", *sim],
+            "inversion_hist_p29.svg": ["sim-inversions", "--p", "29", *sim, "--format", "svg"],
+            "runs_hist_p97.csv": ["sim-runs", "--p", "97", *sim],
+            "runs_hist_p97.svg": ["sim-runs", "--p", "97", *sim, "--format", "svg"],
+            "runs_scan_200.csv": ["scan", "--count", "200"],
+        }
+        for name, argv in commands.items():
+            own = run_to_file(tmp_path, name, argv + ["--precision", precision])
+            assert (out_dir / name).read_bytes() == own, name
 
 
 # sha256 of the `--out` bytes.  They pin the output bytes across code changes

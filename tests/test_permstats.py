@@ -20,7 +20,7 @@ from modsquares.permstats import (
     simulate_inversions,
 )
 from modsquares.primroots import inverse_pairs, primitive_roots
-from modsquares.rng import SplitMix64
+from modsquares.rng import SplitMix64, stream_seeds
 
 P29_COUNTS = [129, 159, 168, 192, 183, 171, 222, 194, 205, 157, 146, 180]
 
@@ -193,6 +193,11 @@ class TestSimConfig:
         plan = config.stream_plan()
         assert [n for _, n in plan] == [4, 3, 3]
         assert len({s for s, _ in plan}) == 3
+
+    def test_stream_plan_derives_seeds_only_for_streams_that_draw(self):
+        for streams in (50, 10**12):
+            plan = SimConfig(seed=9, iterations=3, streams=streams).stream_plan()
+            assert plan == [(s, 1) for s in stream_seeds(9, 3)]
 
 
 class TestSimulateInversions:
