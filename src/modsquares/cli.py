@@ -86,7 +86,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(x, precision: int) -> str:
     """Render a number: integers exactly, everything else as a decimal
-    with `precision` digits, trailing zeros stripped."""
+    with `precision` digits, trailing zeros after the point stripped."""
     if isinstance(x, bool):
         return str(int(x))
     if isinstance(x, int):
@@ -98,8 +98,10 @@ def _fmt(x, precision: int) -> str:
     if isinstance(x, float):
         # A double's exact decimal expansion ends within 1074 places after
         # the point, so more digits are zeros that the strip below removes.
-        s = f"{x:.{min(precision, 1074)}f}".rstrip("0").rstrip(".")
-        return s if s and s != "-" else "0"
+        s = f"{x:.{min(precision, 1074)}f}"
+        if "." in s:
+            return s.rstrip("0").rstrip(".")
+        return "0" if s == "-0" else s  # precision 0: every digit counts
     return str(x)
 
 
@@ -125,10 +127,11 @@ def emit_csv(rows, header, footers=None, precision: int = DEFAULTS["precision"])
     return buf.getvalue().encode("utf-8")
 
 
-def _json_value(v):
+def _json_default(v):
+    """The json.dumps hook for what JSON has no type for: Fractions."""
     if isinstance(v, Fraction):
         return v.numerator if v.denominator == 1 else float(v)
-    return v
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 def emit_json(result: CommandResult) -> bytes:
@@ -136,8 +139,8 @@ def emit_json(result: CommandResult) -> bytes:
         "inputs": result.inputs,
         "outputs": {
             "columns": result.header,
-            "rows": [[_json_value(v) for v in row] for row in result.rows],
-            "summary": {k: _json_value(v) for k, v in result.footers.items()},
+            "rows": result.rows,
+            "summary": result.footers,
         },
         "provenance": {
             "seed": result.inputs.get("seed"),
@@ -145,7 +148,7 @@ def emit_json(result: CommandResult) -> bytes:
             "version": __version__,
         },
     }
-    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    return (json.dumps(payload, indent=2, default=_json_default) + "\n").encode("utf-8")
 
 
 #: The plot box of every chart: left, top, right and bottom edges.
@@ -442,12 +445,12 @@ def _res_small_prime_table() -> CommandResult:
 
 class Command(NamedTuple):
     """One subcommand: its help line, its flags, the handler that turns the
-    parsed args into a CommandResult, and whether it can draw an SVG."""
+    parsed args into a CommandResult, and whether those args draw an SVG."""
 
     help: str
     flags: list
     handler: Callable[[argparse.Namespace], CommandResult]
-    chart: bool = False
+    chart: Callable[[argparse.Namespace], bool] = lambda a: False
 
 
 # A flag is an (option, add_argument kwargs) pair; a ([flags], kwargs) pair
@@ -459,9 +462,11 @@ _OUTPUT_FLAGS = [
                      "help": f"decimal digits for non-integer numbers (default {DEFAULTS['precision']})"}),
     ("--config", {"help": "key=value file with defaults for iterations/seed/workers/scan/precision"}),
 ]
-_SIM_FLAGS = [
+_DRAW_FLAGS = [
     ("--iterations", {"type": int, "help": f"Monte Carlo draws (default {DEFAULTS['iterations']})"}),
     ("--seed", {"type": int, "help": f"64-bit seed (default {DEFAULTS['seed']})"}),
+]
+_SIM_FLAGS = _DRAW_FLAGS + [
     ("--workers", {"type": int,
                    "help": f"stream count and thread pool size (default {DEFAULTS['workers']})"}),
 ]
@@ -488,31 +493,31 @@ COMMANDS: dict[str, Command] = {
                           lambda a: _res_inversions(a.p)),
     "sim-inversions": Command("Monte Carlo inversion counts of random fixed cycles", [_P, *_SIM_FLAGS],
                               lambda a: _sim_result("sim-inversions", a.p, a.seed, a.iterations, a.workers),
-                              chart=True),
+                              chart=lambda a: True),
     # `runs --scan N` is an alias of `scan --count N`, scatter plot included
     "runs": Command("runs of the Legendre sequence of p (or --scan N primes)",
                     [([("--p", {"type": int}), ("--scan", {"type": int, "metavar": "COUNT"})],
                       {"required": True})],
                     lambda a: _res_runs(a.p) if a.scan is None else _res_scan(a.scan, None),
-                    chart=True),
+                    chart=lambda a: a.scan is not None),
     "pairs": Command("observed vs predicted overlapping-pair counts for p", [_P],
                      lambda a: _res_pairs(a.p)),
     "sim-runs": Command("Monte Carlo run counts of shuffled balanced sequences", [_P, *_SIM_FLAGS],
                         lambda a: _sim_result("sim-runs", a.p, a.seed, a.iterations, a.workers),
-                        chart=True),
+                        chart=lambda a: True),
     "scan": Command("runs of the Legendre sequence over many primes",
                     [([("--count", {"type": int, "help": "first COUNT odd primes"}),
                        ("--p-max", {"type": int, "help": "all odd primes <= P_MAX"})],
                       {})],
                     lambda a: _res_scan(a.count, a.p_max),
-                    chart=True),
+                    chart=lambda a: True),
     "dlog": Command("discrete logarithm: the l with g^l = a (mod p)", [_P, _G, _A],
                     lambda a: _res_dlog(a.p, a.g, a.a)),
     "sqrt": Command("modular square root of a (mod p), via discrete log",
                     [_P, _A, ("--g", {"type": int, "help": "primitive root to use (default: smallest)"})],
                     lambda a: _res_sqrt(a.p, a.a, a.g)),
     "repro": Command("write every canonical analysis to named CSV/SVG files",
-                     [("--out-dir", {"default": "repro-out"}), *_SIM_FLAGS],
+                     [("--out-dir", {"default": "repro-out"}), *_DRAW_FLAGS],
                      lambda a: _res_repro(a.out_dir, a.iterations, a.seed, a.precision)),
 }
 
@@ -577,17 +582,11 @@ def _resolve(args) -> None:
         args.count = values["scan"]
 
 
-def _no_svg(command: str) -> UsageError:
-    return UsageError(f"--format svg is only valid for histogram or scatter commands, not {command!r}")
-
-
 def _render(result: CommandResult, fmt: str, precision: int) -> bytes:
     if fmt == "csv":
         return emit_csv(result.rows, result.header, result.footers, precision)
     if fmt == "json":
         return emit_json(result)
-    if result.chart is None:
-        raise _no_svg(result.inputs["command"])  # `runs --p`
     return result.chart()
 
 
@@ -602,8 +601,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         _resolve(args)
-        if args.format == "svg" and not COMMANDS[args.command].chart:
-            raise _no_svg(args.command)  # refused before any work is done
+        if args.format == "svg" and not COMMANDS[args.command].chart(args):
+            # refused before any work is done
+            raise UsageError("--format svg is only valid for histogram or scatter commands, "
+                             f"not {args.command!r}")
         result = args.handler(args)
         _write(_render(result, args.format, args.precision), args.out)
     except (UsageError, OSError) as exc:  # OSError: an unwritable --out/--out-dir

@@ -14,8 +14,10 @@ import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import _kernels
 from .modarith import OddPrime, prime_value
@@ -91,14 +93,18 @@ class InversionSummary:
         return [c for _, c in self.per_root]
 
 
-def _exact_sample_variance(counts: list[int]) -> Fraction:
-    """Unbiased (n-1 denominator) sample variance as an exact rational."""
-    n = len(counts)
-    if n < 2:
-        raise ValueError("need at least two observations")
-    s1 = sum(counts)
-    s2 = sum(c * c for c in counts)
-    return (Fraction(s2) - Fraction(s1 * s1, n)) / (n - 1)
+def _spread(values: list[int]) -> int:
+    """n*sum(x^2) - sum(x)^2: exactly n(n-1) times the unbiased sample variance."""
+    return len(values) * sum(map(operator.mul, values, values)) - sum(values) ** 2
+
+
+def _sample_sd(spread: int, n: int) -> float:
+    """Unbiased (n-1 denominator) sample sd from a `_spread` of n values.
+
+    int / int rounds once, as float(Fraction) does, so this is the square
+    root of the exact variance rounded to a double.
+    """
+    return (spread / (n * (n - 1))) ** 0.5
 
 
 def inversion_summary(p: int | OddPrime) -> InversionSummary:
@@ -122,13 +128,11 @@ def inversion_summary(p: int | OddPrime) -> InversionSummary:
     if -1 in counts:
         g = roots[counts.index(-1)]
         raise RuntimeError(f"primitive root {g} mod {p} did not walk a (p-1)-cycle")
-    sample_mean = Fraction(sum(counts), len(counts))
-    sample_var = _exact_sample_variance(counts)
     return InversionSummary(
         p=p,
         per_root=tuple(zip(roots, counts)),
-        sample_mean=sample_mean,
-        sample_sd=float(sample_var) ** 0.5,
+        sample_mean=Fraction(sum(counts), len(counts)),
+        sample_sd=_sample_sd(_spread(counts), len(counts)),
         theory_mean=theory_mean,
         theory_sd=float(theory_var) ** 0.5,
     )
@@ -181,38 +185,39 @@ class SimReport:
     config: SimConfig
 
     @classmethod
-    def from_counts(cls, counts: list[int], config: SimConfig) -> "SimReport":
-        if len(counts) != config.iterations:
-            raise RuntimeError(
-                f"drew {len(counts)} values for {config.iterations} iterations"
-            )
+    def from_counts(cls, counts: Iterable[int], config: SimConfig) -> "SimReport":
+        """Histogram the draws, then take the moments from its bins."""
         histogram = dict(sorted(Counter(counts).items()))
-        mean = Fraction(sum(counts), len(counts))
-        sd = float(_exact_sample_variance(counts)) ** 0.5 if len(counts) > 1 else 0.0
+        n = sum(histogram.values())
+        if n != config.iterations:
+            raise RuntimeError(f"drew {n} values for {config.iterations} iterations")
+        s1 = sum(map(operator.mul, histogram, histogram.values()))
+        s2 = sum(v * v * c for v, c in histogram.items())
         return cls(
             histogram=histogram,
-            sample_mean=float(mean),
-            sample_sd=sd,
+            sample_mean=s1 / n,
+            sample_sd=_sample_sd(n * s2 - s1 * s1, n) if n > 1 else 0.0,
             config=config,
         )
 
 
-def _run_partitioned(draw, plan, workers: int) -> list[int]:
-    """Run one kernel call per stream, concatenating in stream order.
+def _run_partitioned(draw, plan, workers: int) -> list[list[int]]:
+    """Run one kernel call per stream; returns each stream's list, in order.
 
     At most one thread per CPU runs, however many workers are asked for;
     the plan alone fixes the output.
     """
     threads = min(workers, len(plan), os.cpu_count() or 1)
     if threads <= 1:
-        chunks = [draw(seed, n) for seed, n in plan]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda sn: draw(*sn), plan))
-    out = []
-    for chunk in chunks:
-        out.extend(chunk)
-    return out
+        return [draw(seed, n) for seed, n in plan]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda sn: draw(*sn), plan))
+
+
+def _simulate(kernel, size: int, config: SimConfig, workers: int) -> SimReport:
+    """Report on `kernel(size, n, seed)` drawn for each stream of the plan."""
+    chunks = _run_partitioned(lambda seed, n: kernel(size, n, seed), config.stream_plan(), workers)
+    return SimReport.from_counts(chain.from_iterable(chunks), config)
 
 
 def random_fixed_cycle(p: int | OddPrime, rng: SplitMix64) -> list[int]:
@@ -232,13 +237,7 @@ def simulate_inversions(
     p = prime_value(p)
     if p < 5:
         raise ValueError(f"p must be >= 5, got {p}")
-    tail_len = p - 2
-    counts = _run_partitioned(
-        lambda seed, n: _kernels.simulate_inversion_counts(tail_len, n, seed),
-        config.stream_plan(),
-        workers,
-    )
-    return SimReport.from_counts(counts, config)
+    return _simulate(_kernels.simulate_inversion_counts, p - 2, config, workers)
 
 
 def sd_pvalue(p: int | OddPrime, config: SimConfig, workers: int = 1) -> float:
@@ -246,21 +245,20 @@ def sd_pvalue(p: int | OddPrime, config: SimConfig, workers: int = 1) -> float:
 
     Each of config.iterations batches draws phi(p-1) random fixed cycles
     (the size of the primitive-root sample) and scores whether the batch
-    sample sd reaches the observed one.  Comparison happens on exact
-    rational variances, so ties are counted deterministically.
+    sample sd reaches the observed one.  Every batch has as many counts as
+    the observed sample, so comparing the exact integer `_spread`s compares
+    the variances, and ties are counted deterministically.
     """
     p = prime_value(p)
-    summary = inversion_summary(p)
-    observed_var = _exact_sample_variance(summary.counts())
-    batch = len(summary.per_root)
-    tail_len = p - 2
-    counts = _run_partitioned(
-        lambda seed, n: _kernels.simulate_inversion_counts(tail_len, n * batch, seed),
+    counts = inversion_summary(p).counts()
+    observed, batch = _spread(counts), len(counts)
+    streams = _run_partitioned(
+        lambda seed, n: _kernels.simulate_inversion_counts(p - 2, n * batch, seed),
         config.stream_plan(),
         workers,
     )
     hits = 0
-    for start in range(0, len(counts), batch):
-        if _exact_sample_variance(counts[start : start + batch]) >= observed_var:
-            hits += 1
+    for drawn in streams:  # a stream of n iterations drew n whole batches
+        for start in range(0, len(drawn), batch):
+            hits += _spread(drawn[start : start + batch]) >= observed
     return hits / config.iterations

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import _kernels
 from .modarith import OddPrime, first_odd_primes, odd_primes_below, prime_value
-from .permstats import SimConfig, SimReport, _run_partitioned
+from .permstats import SimConfig, SimReport, _simulate
 
 __all__ = [
     "LegendreSeq",
@@ -181,13 +181,7 @@ def simulate_runs(p: int | OddPrime, config: SimConfig, workers: int = 1) -> Sim
     p = prime_value(p)
     if p < 5:
         raise ValueError(f"p must be >= 5, got {p}")
-    half = (p - 1) // 2
-    counts = _run_partitioned(
-        lambda seed, n: _kernels.simulate_run_counts(half, n, seed),
-        config.stream_plan(),
-        workers,
-    )
-    return SimReport.from_counts(counts, config)
+    return _simulate(_kernels.simulate_run_counts, (p - 1) // 2, config, workers)
 
 
 def scan_runs(count: int | None = None, p_max: int | None = None) -> RunsScan:

@@ -7,8 +7,10 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import textwrap
 import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -91,6 +93,20 @@ class TestExitCodes:
         assert "only valid for histogram or scatter commands, not 'legendre'" in capsys.readouterr().err
         assert main(["runs", "--p", "7", "--format", "svg"]) == ExitStatus.USAGE
         assert "not 'runs'" in capsys.readouterr().err
+
+    def test_runs_svg_refused_before_counting(self, capsys, monkeypatch):
+        def boom(p):
+            raise RuntimeError("counted before refusing --format svg")
+
+        monkeypatch.setattr(cli, "legendre_pair_counts", boom)
+        assert main(["runs", "--p", "7", "--format", "svg"]) == ExitStatus.USAGE
+        assert "only valid for histogram or scatter commands, not 'runs'" in capsys.readouterr().err
+
+    def test_repro_takes_no_workers_flag(self, tmp_path, capsys):
+        argv = ["repro", "--out-dir", str(tmp_path / "art"), "--iterations", "10", "--workers", "4"]
+        assert main(argv) == ExitStatus.USAGE
+        assert "unrecognized arguments: --workers 4" in capsys.readouterr().err
+        assert not (tmp_path / "art").exists()
 
     def test_out_of_memory_is_a_domain_error(self, capsys, monkeypatch):
         def exhausted(count, p_max):
@@ -326,6 +342,12 @@ class TestCsvOutput:
         )
         assert b"# sample_sd=26.019224\n" in fine
 
+    def test_precision_zero_keeps_the_zeros_before_the_point(self, tmp_path):
+        assert [cli._fmt(x, 0) for x in (20.0, 100.0, 1870.5, -30.0)] == ["20", "100", "1870", "-30"]
+        assert [cli._fmt(x, 0) for x in (0.0, 0.3, -0.3)] == ["0", "0", "0"]
+        data = run_to_file(tmp_path, "inv.csv", ["inversions", "--p", "41", "--precision", "0"])
+        assert b"# sample_mean=370\n" in data and b"# theory_mean=370\n" in data
+
     def test_precision_beyond_a_double_adds_nothing(self, tmp_path):
         for x in (5e-324, 2.2250738585072014e-308, 0.1, 1 / 3):
             assert cli._fmt(x, 10**12) == cli._fmt(x, 1074) == cli._fmt(x, 3000)
@@ -374,6 +396,15 @@ class TestJsonOutput:
         assert payload["provenance"]["seed"] == 12
         assert payload["provenance"]["rng_algorithm"] == "splitmix64"
         assert sum(count for _, count in payload["outputs"]["rows"]) == 200
+
+    def test_fractions_encode_as_numbers_and_nothing_else_is_guessed(self):
+        result = cli.CommandResult(inputs={"command": "t"}, header=["x"],
+                                   rows=[(Fraction(3, 2),), (Fraction(4, 2),)], footers={"n": Fraction(7)})
+        payload = json.loads(cli.emit_json(result))
+        assert payload["outputs"]["rows"] == [[1.5], [2]] and payload["outputs"]["summary"] == {"n": 7}
+        result.rows.append((object(),))
+        with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+            cli.emit_json(result)
 
     def test_table_command_json(self, tmp_path):
         data = run_to_file(tmp_path, "pr.json", ["primroots", "--p", "11", "--format", "json"])
@@ -619,3 +650,37 @@ def test_golden_repro_artifacts(tmp_path, monkeypatch):
     for path in sorted((tmp_path / "art").iterdir()):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     assert digest.hexdigest() == GOLDEN_REPRO_ARTIFACTS
+
+
+def test_golden_output_on_the_pure_backend(tmp_path):
+    """Every golden digest, and the repro artifacts', from a copy of the
+    package without the compiled library, in one subprocess."""
+    shutil.copytree(Path(cli.__file__).parent, tmp_path / "lib" / "modsquares",
+                    ignore=shutil.ignore_patterns("*.so", "__pycache__"))
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "defaults.cfg").write_text(GOLDEN_CONFIG)
+    script = textwrap.dedent("""
+        import hashlib, json, sys
+        from pathlib import Path
+        import modsquares
+        from modsquares.cli import main
+        assert modsquares.KERNEL_BACKEND == "python", modsquares.KERNEL_BACKEND
+        digests = []
+        for argv in json.loads(sys.argv[1]):
+            assert main(argv + ["--out", "out"]) == 0, argv
+            digests.append(hashlib.sha256(Path("out").read_bytes()).hexdigest())
+        assert main(["repro", "--out-dir", "art", "--iterations", "200", "--seed", "5", "--out", "out"]) == 0
+        digest = hashlib.sha256()
+        for path in sorted(Path("art").iterdir()):
+            digest.update(path.name.encode() + b"\\0" + path.read_bytes())
+        print(json.dumps([digests, digest.hexdigest()]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps([list(argv) for argv, _ in GOLDEN])],
+                          cwd=work, env={"PYTHONPATH": str(tmp_path / "lib")},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    digests, artifacts = json.loads(proc.stdout)
+    expected = {" ".join(argv): digest for argv, digest in GOLDEN}
+    assert dict(zip(expected, digests)) == expected
+    assert artifacts == GOLDEN_REPRO_ARTIFACTS

@@ -1,7 +1,9 @@
 """Inversion counting, exact null moments, and the Monte Carlo null."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,7 @@ from modsquares.permstats import (
     sd_pvalue,
     simulate_inversions,
 )
-from modsquares.primroots import inverse_pairs, primitive_roots
+from modsquares.primroots import euler_phi, inverse_pairs, primitive_roots
 from modsquares.rng import SplitMix64, stream_seeds
 
 P29_COUNTS = [129, 159, 168, 192, 183, 171, 222, 194, 205, 157, 146, 180]
@@ -44,6 +46,16 @@ def enumerate_fixed_cycle_moments(p):
     mean = Fraction(sum(counts), n)
     variance = sum((Fraction(c) - mean) ** 2 for c in counts) / n
     return mean, variance
+
+
+def fraction_moments(counts):
+    """Sample mean and unbiased sd, each an exact Fraction rounded once."""
+    n = len(counts)
+    mean = Fraction(sum(counts), n)
+    if n < 2:
+        return float(mean), 0.0
+    variance = sum((c - mean) ** 2 for c in counts) / (n - 1)
+    return float(mean), float(variance) ** 0.5
 
 
 class TestCountInversions:
@@ -274,8 +286,45 @@ class TestSdPvalue:
         assert 0 <= first <= 1
         assert first == sd_pvalue(29, config)
 
+    def test_values_are_pinned(self):
+        # recorded with exact Fraction variances; p = 13 has many tied spreads
+        assert sd_pvalue(29, SimConfig(seed=5, iterations=200)) == 0.305
+        assert sd_pvalue(29, SimConfig(seed=7, iterations=400, streams=3), workers=2) == 0.34
+        assert sd_pvalue(13, SimConfig(seed=40, iterations=300)) == 0.19
+
     def test_estimates_stabilize_with_more_iterations(self):
         small = sd_pvalue(29, SimConfig(seed=40, iterations=400))
         large = sd_pvalue(29, SimConfig(seed=41, iterations=1600))
         # crude Monte Carlo convergence check: both sit in the same region
         assert abs(small - large) < 0.15
+
+
+COUNTS = st.lists(st.integers(-(2**63), 2**63), min_size=1, max_size=40)
+
+
+class TestMomentsFromIntegerSums:
+    """The integer-sum statistics equal the Fraction formulas exactly."""
+
+    @given(COUNTS, st.lists(st.integers(0, 40), max_size=4))
+    def test_sim_report_from_a_list_or_a_chain_of_lists(self, counts, cuts):
+        bounds = [0, *sorted(min(c, len(counts)) for c in cuts), len(counts)]
+        pieces = [counts[a:b] for a, b in zip(bounds, bounds[1:])]
+        config = SimConfig(seed=1, iterations=len(counts))
+        for drawn in (counts, itertools.chain.from_iterable(pieces)):
+            report = SimReport.from_counts(drawn, config)
+            assert (report.sample_mean, report.sample_sd) == fraction_moments(counts)
+            assert report.histogram == dict(sorted(Counter(counts).items()))
+
+    def test_sim_report_checks_the_draw_count(self):
+        with pytest.raises(RuntimeError, match="drew 2 values for 3 iterations"):
+            SimReport.from_counts(iter([4, 5]), SimConfig(seed=1, iterations=3))
+
+    @given(st.sampled_from([5, 11, 29, 61]).flatmap(
+        lambda p: st.tuples(st.just(p), st.lists(st.integers(0, 2**62), min_size=euler_phi(p - 1),
+                                                 max_size=euler_phi(p - 1)))))
+    def test_inversion_summary_sd(self, case):
+        p, counts = case
+        with mock.patch.object(permstats._kernels, "cycle_inversions", lambda p, roots: counts):
+            summary = inversion_summary(p)
+        assert summary.sample_mean == Fraction(sum(counts), len(counts))
+        assert summary.sample_sd == fraction_moments(counts)[1]
