@@ -1,11 +1,14 @@
 """Build script for the optional compiled kernels.
 
-`kernels.c` is plain C with no Python.h: it becomes a shared library
-that `modsquares._kernels._ckernels` loads with ctypes.  setuptools
-only drives the C compiler here (`python -m modsquares._kernels.build`
-does the same with `cc` alone).  The package works without the library
-(a pure-Python fallback is selected at import time), so the extension
-is `optional=True`: a failed compile is a warning, not a failed install.
+    python setup.py build_ext --inplace
+
+is the one build command (`pip install -e .` runs it too); `CC` and
+`CFLAGS` choose the compiler and extra flags.  `kernels.c` is plain C
+with no Python.h: it becomes a shared library that
+`modsquares._kernels._ckernels` loads with ctypes, so setuptools only
+drives the C compiler here.  The package works without the library (a
+pure-Python fallback is selected at import time), so the extension is
+`optional=True`: a failed compile is a warning, not a failed install.
 """
 
 from setuptools import Extension, setup

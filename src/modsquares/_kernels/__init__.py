@@ -5,7 +5,16 @@ are used when their library has been built and loads; otherwise the
 pure-Python twin takes over.  Both expose the same functions with
 bit-identical output, so everything above this package is
 backend-agnostic.  `BACKEND` reports which one is active.  Build the
-library with `python -m modsquares._kernels.build`.
+library with `python setup.py build_ext --inplace`.
+
+The benchmark harness in `perfbench/` depends on names here and above:
+it calls six kernels by name and argument list (`count_inversions`,
+`legendre_symbols`, `primitive_root_scan`, `multiplier_orbit`,
+`simulate_inversion_counts`, `simulate_run_counts`), and it wraps, by
+name, every function in each layer's `__all__` plus
+`modarith.prime_value`, `permstats.ThreadPoolExecutor` and
+`permstats.SimReport.from_counts`.  Renaming any of them breaks it;
+`tests/test_perfbench_hooks.py` runs those hooks.
 """
 
 import os

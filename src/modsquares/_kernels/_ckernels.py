@@ -46,7 +46,7 @@ def _load():
     except (OSError, AttributeError) as exc:
         raise ImportError(f"cannot load {LIBRARY}: {exc}") from exc
     if lib.msq_abi_version() != _ABI_VERSION:
-        raise ImportError(f"{LIBRARY} is stale; rebuild it from kernels.c")
+        raise ImportError(f"{LIBRARY} is stale; rebuild it with `python setup.py build_ext --inplace`")
     return lib
 
 

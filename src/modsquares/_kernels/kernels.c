@@ -11,9 +11,7 @@
  * [1, 2^63) and every buffer has the length stated at its function.
  * Lengths are signed, and a negative one counts as zero.
  *
- * Build: python -m modsquares._kernels.build   (or setup.py build_ext)
- * Both pass -fwrapv (setuptools takes it from Python's CFLAGS), so the
- * two libraries have byte-identical .text sections.
+ * Build: python setup.py build_ext --inplace
  */
 
 #include <stdint.h>

@@ -99,9 +99,9 @@ def _fmt(x, precision: int) -> str:
         # A double's exact decimal expansion ends within 1074 places after
         # the point, so more digits are zeros that the strip below removes.
         s = f"{x:.{min(precision, 1074)}f}"
-        if "." in s:
-            return s.rstrip("0").rstrip(".")
-        return "0" if s == "-0" else s  # precision 0: every digit counts
+        if "." in s:  # at precision 0 every digit counts
+            s = s.rstrip("0").rstrip(".")
+        return "0" if s == "-0" else s  # a value that rounds to zero has no sign
     return str(x)
 
 
@@ -563,23 +563,35 @@ def _load_config(path: str | None) -> dict:
     return values
 
 
-#: The least value each flag accepts, whether set on the command line or
-#: filled in from the config file or DEFAULTS.
-_MINIMUM = {"precision": 0, "iterations": 1, "workers": 1}
+#: The least and the greatest value each flag accepts (None: no bound),
+#: whether set on the command line or filled in from the config file or
+#: DEFAULTS.  `count` is scan's --count (config key `scan`), `scan` is
+#: runs's --scan.
+_BOUNDS = {
+    "precision": (0, None),
+    "iterations": (1, None),
+    "seed": (0, (1 << 64) - 1),
+    "workers": (1, None),
+    "count": (1, None),
+    "scan": (1, None),
+}
 
 
 def _resolve(args) -> None:
-    """Fill unset flags from the config file, then from DEFAULTS, and check them."""
+    """Fill unset flags from the config file, then from DEFAULTS, and check
+    them all before any work is done."""
     values = {**DEFAULTS, **_load_config(args.config)}
     for name in ("precision", "iterations", "seed", "workers"):
-        if not hasattr(args, name):
-            continue  # not a flag of this command
-        if getattr(args, name) is None:
+        if hasattr(args, name) and getattr(args, name) is None:
             setattr(args, name, values[name])
-        if name in _MINIMUM and getattr(args, name) < _MINIMUM[name]:
-            raise UsageError(f"--{name} must be >= {_MINIMUM[name]}")
     if hasattr(args, "p_max") and args.count is None and args.p_max is None:
         args.count = values["scan"]
+    for name, (least, greatest) in _BOUNDS.items():
+        value = getattr(args, name, None)  # None: not a flag of this command, or unset
+        if value is not None and value < least:
+            raise UsageError(f"--{name} must be >= {least}")
+        if value is not None and greatest is not None and value > greatest:
+            raise UsageError(f"--{name} must be <= {greatest}")
 
 
 def _render(result: CommandResult, fmt: str, precision: int) -> bytes:

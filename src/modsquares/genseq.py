@@ -11,12 +11,11 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .modarith import MAX_MODULUS, OddPrime, prime_value
+from .modarith import MAX_MODULUS, prime_value
 from .primroots import is_primitive_root
 
 __all__ = [
     "GeneratorCycle",
-    "SquareCycle",
     "generator_cycle",
     "lcg_orbit",
     "square_cycle",
@@ -47,19 +46,6 @@ class GeneratorCycle:
             )
 
 
-@dataclass(frozen=True)
-class SquareCycle:
-    """The (p-1)/2 nonzero squares mod p in generator order g^0, g^2, g^4, ..."""
-
-    p: int
-    root: int
-    states: tuple[int, ...]
-
-    @property
-    def period(self) -> int:
-        return len(self.states)
-
-
 def lcg_orbit(a: int, m: int) -> GeneratorCycle:
     """Orbit of the multiplicative generator with multiplier a mod m.
 
@@ -80,7 +66,7 @@ def lcg_orbit(a: int, m: int) -> GeneratorCycle:
     return GeneratorCycle(m, a, tuple(states), len(states))
 
 
-def generator_cycle(g: int, p: int | OddPrime) -> GeneratorCycle:
+def generator_cycle(g: int, p: int) -> GeneratorCycle:
     """The full (p-1)-cycle (1, g, g^2, ..., g^(p-2)) mod p."""
     p = prime_value(p)
     if not is_primitive_root(g, p):
@@ -93,24 +79,26 @@ def generator_cycle(g: int, p: int | OddPrime) -> GeneratorCycle:
     return cycle
 
 
-def square_cycle(g: int, p: int | OddPrime) -> SquareCycle:
+def square_cycle(g: int, p: int) -> GeneratorCycle:
     """The squares mod p in the order generated by x -> g**2 * x.
 
     Starting from 1, squaring the primitive root gives a multiplier of
-    order (p-1)/2; the walk lists every quadratic residue exactly once.
+    order (p-1)/2; the walk lists every quadratic residue exactly once,
+    g^0, g^2, g^4, ...  The result is the orbit of that multiplier.
     """
     p = prime_value(p)
     if not is_primitive_root(g, p):
         raise ValueError(f"{g} is not a primitive root of {p}")
-    states = _kernels.multiplier_orbit(g * g % p, p, p)
+    multiplier = g * g % p
+    states = _kernels.multiplier_orbit(multiplier, p, p)
     if len(states) != (p - 1) // 2:
         raise RuntimeError(
             f"square walk for root {g} mod {p} closed after {len(states)} states"
         )
-    return SquareCycle(p, g, tuple(states))
+    return GeneratorCycle(p, multiplier, tuple(states), len(states))
 
 
-def squares_set(p: int | OddPrime) -> set[int]:
+def squares_set(p: int) -> set[int]:
     """{x**2 mod p : 1 <= x <= p-1}, the brute-force oracle for squares.
 
     Deliberately independent of the symbol and cycle machinery so it can

@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
     "MAX_MODULUS",
-    "OddPrime",
     "Symbol",
     "discrete_log",
     "first_odd_primes",
@@ -117,45 +115,20 @@ class Symbol(enum.IntEnum):
     RESIDUE = 1
 
 
-@dataclass(frozen=True, order=True)
-class OddPrime:
-    """A validated odd prime modulus; the universe for residue arithmetic.
-
-    Construction runs the deterministic primality test, so holding an
-    OddPrime is proof the invariants (odd, prime, 3 <= p < 2**63) hold.
-    """
-
-    value: int
-
-    def __post_init__(self):
-        p = self.value
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise ValueError(f"p must be an integer, got {p!r}")
-        if p < 3 or p % 2 == 0:
-            raise ValueError(f"p must be an odd integer >= 3, got {p}")
-        if p >= MAX_MODULUS:
-            raise ValueError(f"p must be below 2**63, got {p}")
-        if not is_prime(p):
-            raise ValueError(f"p must be prime; {p} is composite")
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __index__(self) -> int:
-        return self.value
-
-    def __str__(self) -> str:
-        return str(self.value)
+def prime_value(p: int) -> int:
+    """`p` itself, once checked to be an odd prime with 3 <= p < 2**63."""
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise ValueError(f"p must be an integer, got {p!r}")
+    if p < 3 or p % 2 == 0:
+        raise ValueError(f"p must be an odd integer >= 3, got {p}")
+    if p >= MAX_MODULUS:
+        raise ValueError(f"p must be below 2**63, got {p}")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime; {p} is composite")
+    return p
 
 
-def prime_value(p: int | OddPrime) -> int:
-    """Unwrap an OddPrime, or validate a plain integer as one."""
-    if isinstance(p, OddPrime):
-        return p.value
-    return OddPrime(p).value
-
-
-def legendre_euler(a: int, p: int | OddPrime) -> Symbol:
+def legendre_euler(a: int, p: int) -> Symbol:
     """Legendre symbol (a/p) via Euler's criterion a**((p-1)/2) mod p."""
     p = prime_value(p)
     r = a % p
@@ -171,7 +144,7 @@ def legendre_euler(a: int, p: int | OddPrime) -> Symbol:
     )
 
 
-def legendre_reciprocity(a: int, p: int | OddPrime) -> Symbol:
+def legendre_reciprocity(a: int, p: int) -> Symbol:
     """Legendre symbol (a/p) by the quadratic-reciprocity descent.
 
     Works entirely with small reductions: factors of two leave via the
@@ -212,7 +185,7 @@ _RULE_TABLE = {
 }
 
 
-def residue_rule(a: int, p: int | OddPrime) -> Symbol:
+def residue_rule(a: int, p: int) -> Symbol:
     """(a/p) for a in {-1, 2, 3, 5, 6}, read off the congruence class of p.
 
     These are the closed-form consequences of quadratic reciprocity: the
@@ -259,7 +232,7 @@ def _prime_order_log(gamma: int, q: int, p: int):
     return log
 
 
-def discrete_log(g: int, a: int, p: int | OddPrime) -> int:
+def discrete_log(g: int, a: int, p: int) -> int:
     """The least exponent l >= 0 with g**l = a (mod p), by Pohlig-Hellman.
 
     l lies in [0, ord(g)), so it is the position of a in the orbit
@@ -306,7 +279,7 @@ def discrete_log(g: int, a: int, p: int | OddPrime) -> int:
     return l
 
 
-def sqrt_mod(a: int, p: int | OddPrime, g: int) -> int | None:
+def sqrt_mod(a: int, p: int, g: int) -> int | None:
     """The smaller square root of a mod p, or None when a is a nonsquare.
 
     Solves g**l = a by discrete logarithm, then halves the exponent: for

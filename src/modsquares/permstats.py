@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import chain
 
 from . import _kernels
-from .modarith import OddPrime, prime_value
+from .modarith import prime_value
 from .primroots import primitive_roots
 from .rng import RNG_ALGORITHM, SplitMix64, stream_seeds
 
@@ -63,7 +63,7 @@ def count_inversions(seq) -> int:
     return _kernels.count_inversions(values)
 
 
-def inversion_null_moments(p: int | OddPrime) -> tuple[Fraction, Fraction]:
+def inversion_null_moments(p: int) -> tuple[Fraction, Fraction]:
     """Exact (mean, variance) of inversions of a random fixed cycle.
 
     Fixing 1 in front leaves a uniform permutation of p - 2 entries;
@@ -107,7 +107,7 @@ def _sample_sd(spread: int, n: int) -> float:
     return (spread / (n * (n - 1))) ** 0.5
 
 
-def inversion_summary(p: int | OddPrime) -> InversionSummary:
+def inversion_summary(p: int) -> InversionSummary:
     """Inversion counts of every primitive-root cycle, with both moments.
 
     Sample statistics use the n-1 denominator.  The sample mean always
@@ -220,7 +220,7 @@ def _simulate(kernel, size: int, config: SimConfig, workers: int) -> SimReport:
     return SimReport.from_counts(chain.from_iterable(chunks), config)
 
 
-def random_fixed_cycle(p: int | OddPrime, rng: SplitMix64) -> list[int]:
+def random_fixed_cycle(p: int, rng: SplitMix64) -> list[int]:
     """1 followed by a uniform permutation of [2, p-1] (Fisher-Yates)."""
     p = prime_value(p)
     if p < 5:
@@ -230,9 +230,7 @@ def random_fixed_cycle(p: int | OddPrime, rng: SplitMix64) -> list[int]:
     return [1] + tail
 
 
-def simulate_inversions(
-    p: int | OddPrime, config: SimConfig, workers: int = 1
-) -> SimReport:
+def simulate_inversions(p: int, config: SimConfig, workers: int = 1) -> SimReport:
     """Histogram of inversion counts over random fixed cycles from S_{p-1}."""
     p = prime_value(p)
     if p < 5:
@@ -240,7 +238,7 @@ def simulate_inversions(
     return _simulate(_kernels.simulate_inversion_counts, p - 2, config, workers)
 
 
-def sd_pvalue(p: int | OddPrime, config: SimConfig, workers: int = 1) -> float:
+def sd_pvalue(p: int, config: SimConfig, workers: int = 1) -> float:
     """Monte Carlo p-value for the observed root-cycle standard deviation.
 
     Each of config.iterations batches draws phi(p-1) random fixed cycles

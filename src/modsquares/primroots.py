@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernels
-from .modarith import MAX_MODULUS, OddPrime, is_prime, prime_value
+from .modarith import MAX_MODULUS, is_prime, prime_value
 
 __all__ = [
     "Factorization",
@@ -95,7 +95,7 @@ def _cofactor_exponents(p: int) -> tuple[int, ...]:
     return tuple((p - 1) // q for q in factorize(p - 1).primes)
 
 
-def is_primitive_root(g: int, p: int | OddPrime) -> bool:
+def is_primitive_root(g: int, p: int) -> bool:
     """Order test: g generates [1, p-1] iff no g**((p-1)/q) equals 1."""
     p = prime_value(p)
     if not 1 <= g < p:
@@ -120,7 +120,7 @@ class PrimitiveRootSet:
         return g in self.roots
 
 
-def primitive_roots(p: int | OddPrime) -> PrimitiveRootSet:
+def primitive_roots(p: int) -> PrimitiveRootSet:
     """Every residue passing the order test, by scanning [2, p-1].
 
     The scan is deliberate: it keeps the phi(p-1) cardinality invariant
@@ -132,7 +132,7 @@ def primitive_roots(p: int | OddPrime) -> PrimitiveRootSet:
     return PrimitiveRootSet(p, tuple(roots))
 
 
-def smallest_primitive_root(p: int | OddPrime) -> int:
+def smallest_primitive_root(p: int) -> int:
     """The least primitive root of p (candidates from 2 upward)."""
     p = prime_value(p)
     for g in range(2, p):
@@ -141,7 +141,7 @@ def smallest_primitive_root(p: int | OddPrime) -> int:
     raise RuntimeError(f"no primitive root found for prime {p}")
 
 
-def inverse_pairs(p: int | OddPrime) -> list[tuple[int, int]]:
+def inverse_pairs(p: int) -> list[tuple[int, int]]:
     """The primitive roots of p grouped into {g, g^-1} pairs.
 
     Each pair is reported (smaller, larger).  A root can only be its own

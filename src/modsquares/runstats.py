@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
-from .modarith import OddPrime, first_odd_primes, odd_primes_below, prime_value
+from .modarith import first_odd_primes, odd_primes_below, prime_value
 from .permstats import SimConfig, SimReport, _simulate
 
 __all__ = [
@@ -83,13 +83,13 @@ class RunsScan:
         return iter(self.rows)
 
 
-def legendre_sequence(p: int | OddPrime) -> LegendreSeq:
+def legendre_sequence(p: int) -> LegendreSeq:
     """Symbols for a = 1..p-1, computed by marking the nonzero squares."""
     p = prime_value(p)
     return LegendreSeq(p, tuple(_kernels.legendre_symbols(p)))
 
 
-def legendre_pair_counts(p: int | OddPrime) -> PairCounts:
+def legendre_pair_counts(p: int) -> PairCounts:
     """Pair counts of the Legendre sequence of p, built without the sequence.
 
     Equal to `pair_counts(legendre_sequence(p))`; its `runs` equals
@@ -145,7 +145,7 @@ def pair_counts(seq) -> PairCounts:
     return PairCounts(npp, npm, nmp, nmm)
 
 
-def aladov_predicted(p: int | OddPrime) -> PairCounts:
+def aladov_predicted(p: int) -> PairCounts:
     """Aladov's exact pair counts for the Legendre sequence of p.
 
     For p = 1 (mod 4): n+- = n-+ = n-- = (p-1)/4 and n++ = (p-5)/4.
@@ -176,7 +176,7 @@ def runs_null_moments(n_plus: int, n_minus: int) -> tuple[Fraction, Fraction]:
     return mean, variance
 
 
-def simulate_runs(p: int | OddPrime, config: SimConfig, workers: int = 1) -> SimReport:
+def simulate_runs(p: int, config: SimConfig, workers: int = 1) -> SimReport:
     """Histogram of run counts over uniform shuffles of (p-1)/2 +1s and -1s."""
     p = prime_value(p)
     if p < 5:

@@ -122,6 +122,21 @@ class TestExitCodes:
             assert main(["sim-runs", "--p", "97", flag, "0"]) == ExitStatus.USAGE
             assert f"{flag} must be >= 1" in capsys.readouterr().err
 
+    def test_out_of_range_counts_and_seeds_are_usage_errors(self, tmp_path, capsys):
+        config = tmp_path / "scan.cfg"
+        config.write_text("scan=0\n")
+        out_dir = tmp_path / "D"
+        cases = [(["scan", "--count", "0"], "--count must be >= 1"),
+                 (["runs", "--scan", "0"], "--scan must be >= 1"),
+                 (["scan", "--config", str(config)], "--count must be >= 1"),
+                 (["sim-runs", "--p", "97", "--seed", "-1"], "--seed must be >= 0"),
+                 (["repro", "--seed", str(2**64), "--out-dir", str(out_dir)],
+                  f"--seed must be <= {2**64 - 1}")]
+        for argv, message in cases:
+            assert main(argv) == ExitStatus.USAGE, argv
+            assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_unwritable_output_is_a_usage_error(self, tmp_path):
         (tmp_path / "file").write_text("")
         env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -347,6 +362,11 @@ class TestCsvOutput:
         assert [cli._fmt(x, 0) for x in (0.0, 0.3, -0.3)] == ["0", "0", "0"]
         data = run_to_file(tmp_path, "inv.csv", ["inversions", "--p", "41", "--precision", "0"])
         assert b"# sample_mean=370\n" in data and b"# theory_mean=370\n" in data
+
+    def test_a_value_that_rounds_to_zero_prints_unsigned(self):
+        assert [cli._fmt(-0.0001, 3), cli._fmt(-0.0, 6), cli._fmt(-1e-9, 6)] == ["0", "0", "0"]
+        assert [cli._fmt(x, 0) for x in (-0.0001, -0.0, -1e-9)] == ["0", "0", "0"]
+        assert cli._fmt(-0.0001, 6) == "-0.0001"
 
     def test_precision_beyond_a_double_adds_nothing(self, tmp_path):
         for x in (5e-324, 2.2250738585072014e-308, 0.1, 1 / 3):

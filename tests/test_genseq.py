@@ -145,6 +145,14 @@ class TestSquareCycle:
         with pytest.raises(ValueError):
             square_cycle(4, 11)
 
+    def test_is_the_orbit_of_the_squared_root(self):
+        # the paper's x -> g^2 x walk from 1: states, period and multiplier
+        for p in odd_primes_below(200):
+            for g in primitive_roots(p):
+                cycle = square_cycle(g, p)
+                assert cycle == lcg_orbit(g * g % p, p)
+                assert (cycle.modulus, cycle.multiplier) == (p, g * g % p)
+
 
 class TestSquaresSet:
     def test_smallest_prime(self):

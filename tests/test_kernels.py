@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import modsquares
-from modsquares._kernels import available_backends, backend_module, build
+from modsquares._kernels import LIBRARY, available_backends, backend_module
 from modsquares.permstats import SimConfig, simulate_inversions
 from modsquares.primroots import primitive_roots
 from modsquares.rng import SplitMix64, stream_seeds
@@ -173,58 +173,26 @@ def _setup_py_build_ext(out: Path, **env) -> tuple[str, list[Path]]:
         cwd=Path(__file__).resolve().parents[1], env={**os.environ, **env},
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return proc.stderr, list(out.rglob(Path(build.LIBRARY).name))
+    return proc.stderr, list(out.rglob(Path(LIBRARY).name))
 
 
 def _inplace_fingerprint():
-    inplace = Path(build.LIBRARY)
+    inplace = Path(LIBRARY)
     if not inplace.exists():
         return None
     stat = inplace.stat()
     return stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
-@pytest.fixture(scope="module")
-def build_py_library(tmp_path_factory) -> Path:
-    """The library `python -m modsquares._kernels.build` makes, warnings as errors."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("CC", "cc -Werror")
-        return build.build(tmp_path_factory.mktemp("build_py") / Path(build.LIBRARY).name)
-
-
-@pytest.fixture(scope="module")
-def setup_py_libraries(tmp_path_factory):
-    """The in-place library's fingerprint, then the libraries that
-    `setup.py build_ext` makes with warnings as errors."""
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_setup_py_builds_the_library_or_warns_and_builds_none(tmp_path):
     before = _inplace_fingerprint()
-    return before, _setup_py_build_ext(tmp_path_factory.mktemp("setup_py"), CFLAGS="-Werror")[1]
-
-
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-def test_build_module_compiles_warning_free_loadable_library(build_py_library):
-    assert ctypes.CDLL(str(build_py_library)).msq_abi_version() == 1
-    assert not list(build_py_library.parent.glob("*.tmp"))
-
-
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-def test_setup_py_builds_the_library_or_warns_and_builds_none(tmp_path, setup_py_libraries):
-    before, built = setup_py_libraries
+    built = _setup_py_build_ext(tmp_path / "werror", CFLAGS="-Werror")[1]  # warnings as errors
     assert [ctypes.CDLL(str(library)).msq_abi_version() for library in built] == [1]
     stderr, built = _setup_py_build_ext(tmp_path / "failing", CC="false")
     assert 'building extension "modsquares._kernels.kernels" failed' in stderr
     assert built == []
     assert _inplace_fingerprint() == before
-
-
-@pytest.mark.skipif(shutil.which("cc") is None or shutil.which("objcopy") is None,
-                    reason="no C compiler or no objcopy")
-def test_both_build_commands_make_the_same_machine_code(tmp_path, build_py_library, setup_py_libraries):
-    def text(library, name):
-        subprocess.run(["objcopy", "-O", "binary", "-j", ".text", str(library), str(tmp_path / name)], check=True)
-        return (tmp_path / name).read_bytes()
-
-    (setup_py_library,) = setup_py_libraries[1]
-    assert text(build_py_library, "build_py") == text(setup_py_library, "setup_py")
 
 
 def test_without_the_library_the_package_falls_back_to_python(tmp_path):

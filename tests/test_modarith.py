@@ -1,11 +1,13 @@
 """Modular arithmetic and the two Legendre-symbol engines."""
 
 import itertools
+import math
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from modsquares.modarith import (
-    OddPrime,
+    MAX_MODULUS,
     Symbol,
     discrete_log,
     first_odd_primes,
@@ -14,6 +16,7 @@ from modsquares.modarith import (
     legendre_euler,
     legendre_reciprocity,
     odd_primes_below,
+    prime_value,
     residue_rule,
     sqrt_mod,
 )
@@ -71,23 +74,54 @@ class TestIsPrime:
 
 
 class TestOddPrime:
+    """`prime_value`, the one validator of prime moduli."""
+
     @pytest.mark.parametrize("bad", [1, 2, 8, 9, 15, -7, 0, 8191 * 3])
     def test_rejects_non_odd_primes(self, bad):
         with pytest.raises(ValueError):
-            OddPrime(bad)
+            prime_value(bad)
 
     def test_rejects_oversized(self):
         with pytest.raises(ValueError):
-            OddPrime(2**63 + 37)
+            prime_value(2**63 + 37)
 
     def test_rejects_non_integers(self):
         with pytest.raises(ValueError):
-            OddPrime(11.0)
+            prime_value(11.0)
 
     def test_accepts_and_unwraps(self):
-        p = OddPrime(8191)
+        p = prime_value(8191)
         assert int(p) == 8191
         assert range(int(p))[-1] == 8190
+
+
+def is_odd_prime_below_2_63(n):
+    """Oracle: trial division up to 2**20, the Miller-Rabin test above."""
+    if n < 3 or n % 2 == 0 or n >= MAX_MODULUS:
+        return False
+    if n < 1 << 20:
+        return all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+    return is_prime(n)
+
+
+@given(st.integers(-100, 1 << 16) | st.integers(-(1 << 70), 1 << 70))
+@example(2)
+@example(3)
+@example(2**63 - 25)  # the largest prime below 2**63
+@example(2**63 + 37)
+def test_prime_value_returns_exactly_the_odd_primes_below_2_63(n):
+    if is_odd_prime_below_2_63(n):
+        assert prime_value(n) == n and type(prime_value(n)) is int
+    else:
+        with pytest.raises(ValueError):
+            prime_value(n)
+
+
+@given(st.booleans() | st.floats(allow_nan=True, allow_infinity=True))
+@example(11.0)
+def test_prime_value_refuses_bools_and_floats(x):
+    with pytest.raises(ValueError, match="p must be an integer"):
+        prime_value(x)
 
 
 class TestLegendreEuler:
