@@ -37,7 +37,7 @@ def build_cases():
     g_orbit = smallest_primitive_root(p_orbit)
 
     p_cycles = 2003
-    roots = primitive_roots(p_cycles).roots
+    roots = primitive_roots(p_cycles)
 
     return [
         ("count_inversions(n=200000)",

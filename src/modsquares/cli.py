@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, starmap
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from . import __version__
 from .genseq import lcg_orbit, generator_cycle, square_cycle
@@ -72,7 +72,7 @@ class CommandResult:
 
     inputs: dict
     header: list[str]
-    rows: list[tuple]
+    rows: Sequence[tuple]
     footers: dict = field(default_factory=dict)
     chart: Callable[[], bytes] | None = None  # draws the SVG; None: no SVG
 
@@ -252,8 +252,8 @@ def _res_legendre(p: int) -> CommandResult:
     return CommandResult(
         inputs={"command": "legendre", "p": p},
         header=["a", "symbol"],
-        rows=list(enumerate(seq.symbols, start=1)),
-        footers={"n_plus": seq.symbols.count(1), "n_minus": seq.symbols.count(-1)},
+        rows=list(enumerate(seq, start=1)),
+        footers={"n_plus": seq.count(1), "n_minus": seq.count(-1)},
     )
 
 
@@ -282,7 +282,7 @@ def _res_cycle(p: int, g: int) -> CommandResult:
 
 def _res_squares(p: int, g: int | None) -> CommandResult:
     if g is None:
-        values = [a for a, s in enumerate(legendre_sequence(p).symbols, start=1) if s == 1]
+        values = [a for a, s in enumerate(legendre_sequence(p), start=1) if s == 1]
         return CommandResult(
             inputs={"command": "squares", "p": p, "g": None},
             header=["value"],
@@ -301,7 +301,7 @@ def _res_inversions(p: int) -> CommandResult:
     return CommandResult(
         inputs={"command": "inversions", "p": p},
         header=["g", "inversions"],
-        rows=list(summary.per_root),
+        rows=summary.per_root,
         footers={
             "sample_mean": summary.sample_mean,
             "sample_sd": summary.sample_sd,
@@ -368,9 +368,9 @@ def _res_scan(count: int | None, p_max: int | None) -> CommandResult:
     return CommandResult(
         inputs={"command": "scan", "count": count, "p_max": p_max},
         header=["p", "runs"],
-        rows=list(scan.rows),
+        rows=scan,
         footers={"primes": len(scan)},
-        chart=lambda: emit_svg_scatter(scan.rows, title, "p", "runs"),
+        chart=lambda: emit_svg_scatter(scan, title, "p", "runs"),
     )
 
 
@@ -431,7 +431,7 @@ def _res_small_prime_table() -> CommandResult:
     rows = []
     for p in (3, 5, 7, 11, 13, 17, 19):
         seq = legendre_sequence(p)
-        rows.append((p, count_runs(seq), " ".join(str(s) for s in seq.symbols)))
+        rows.append((p, count_runs(seq), " ".join(str(s) for s in seq)))
     return CommandResult(
         inputs={"command": "legendre-table"},
         header=["p", "runs", "symbols"],

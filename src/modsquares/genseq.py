@@ -35,15 +35,14 @@ class GeneratorCycle:
     modulus: int
     multiplier: int
     states: tuple[int, ...]
-    period: int
 
     def __post_init__(self):
         if not self.states or self.states[0] != 1:
             raise ValueError("orbit states must start at 1")
-        if self.period != len(self.states):
-            raise ValueError(
-                f"period {self.period} does not match {len(self.states)} states"
-            )
+
+    @property
+    def period(self) -> int:
+        return len(self.states)
 
 
 def lcg_orbit(a: int, m: int) -> GeneratorCycle:
@@ -63,7 +62,7 @@ def lcg_orbit(a: int, m: int) -> GeneratorCycle:
             f"gcd({a}, {m}) = {math.gcd(a, m)} != 1: the orbit never returns to 1"
         )
     states = _kernels.multiplier_orbit(a, m, m)
-    return GeneratorCycle(m, a, tuple(states), len(states))
+    return GeneratorCycle(m, a, tuple(states))
 
 
 def generator_cycle(g: int, p: int) -> GeneratorCycle:
@@ -95,7 +94,7 @@ def square_cycle(g: int, p: int) -> GeneratorCycle:
         raise RuntimeError(
             f"square walk for root {g} mod {p} closed after {len(states)} states"
         )
-    return GeneratorCycle(p, multiplier, tuple(states), len(states))
+    return GeneratorCycle(p, multiplier, tuple(states))
 
 
 def squares_set(p: int) -> set[int]:

@@ -123,7 +123,7 @@ def inversion_summary(p: int) -> InversionSummary:
     if p >= _CYCLE_LIMIT:
         raise ValueError(f"p must be below 2**32 for root-cycle inversions, got {p}")
     theory_mean, theory_var = inversion_null_moments(p)
-    roots = primitive_roots(p).roots
+    roots = primitive_roots(p)
     counts = _kernels.cycle_inversions(p, roots)
     if -1 in counts:
         g = roots[counts.index(-1)]

@@ -17,7 +17,6 @@ from .modarith import MAX_MODULUS, is_prime, prime_value
 
 __all__ = [
     "Factorization",
-    "PrimitiveRootSet",
     "euler_phi",
     "factorize",
     "inverse_pairs",
@@ -103,33 +102,15 @@ def is_primitive_root(g: int, p: int) -> bool:
     return all(pow(g, e, p) != 1 for e in _cofactor_exponents(p))
 
 
-@dataclass(frozen=True)
-class PrimitiveRootSet:
-    """All primitive roots of p, ascending; there are phi(p-1) of them."""
+def primitive_roots(p: int) -> tuple[int, ...]:
+    """All primitive roots of p, ascending: there are phi(p-1) of them.
 
-    p: int
-    roots: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-    def __iter__(self):
-        return iter(self.roots)
-
-    def __contains__(self, g) -> bool:
-        return g in self.roots
-
-
-def primitive_roots(p: int) -> PrimitiveRootSet:
-    """Every residue passing the order test, by scanning [2, p-1].
-
-    The scan is deliberate: it keeps the phi(p-1) cardinality invariant
-    an empirical fact rather than a construction artifact.
+    Every residue in [2, p-1] is put to the order test.  The scan is
+    deliberate: it keeps the phi(p-1) cardinality invariant an empirical
+    fact rather than a construction artifact.
     """
     p = prime_value(p)
-    exponents = list(_cofactor_exponents(p))
-    roots = _kernels.primitive_root_scan(p, exponents)
-    return PrimitiveRootSet(p, tuple(roots))
+    return tuple(_kernels.primitive_root_scan(p, list(_cofactor_exponents(p))))
 
 
 def smallest_primitive_root(p: int) -> int:
@@ -149,7 +130,7 @@ def inverse_pairs(p: int) -> list[tuple[int, int]]:
     just for p = 3; that singleton is reported as (2, 2).
     """
     p = prime_value(p)
-    roots = primitive_roots(p).roots
+    roots = primitive_roots(p)
     root_set = set(roots)
     pairs = []
     seen = set()

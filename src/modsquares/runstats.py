@@ -17,9 +17,7 @@ from .modarith import first_odd_primes, odd_primes_below, prime_value
 from .permstats import SimConfig, SimReport, _simulate
 
 __all__ = [
-    "LegendreSeq",
     "PairCounts",
-    "RunsScan",
     "aladov_predicted",
     "count_runs",
     "legendre_pair_counts",
@@ -29,23 +27,6 @@ __all__ = [
     "scan_runs",
     "simulate_runs",
 ]
-
-
-@dataclass(frozen=True)
-class LegendreSeq:
-    """The +-1 sequence of Legendre symbols (a/p) for a = 1..p-1."""
-
-    p: int
-    symbols: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __iter__(self):
-        return iter(self.symbols)
-
-    def __getitem__(self, i):
-        return self.symbols[i]
 
 
 @dataclass(frozen=True)
@@ -70,23 +51,9 @@ class PairCounts:
         return (self.npp, self.npm, self.nmp, self.nmm)
 
 
-@dataclass(frozen=True)
-class RunsScan:
-    """Rows (p, number of runs of the symbol sequence), p ascending."""
-
-    rows: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-
-def legendre_sequence(p: int) -> LegendreSeq:
-    """Symbols for a = 1..p-1, computed by marking the nonzero squares."""
-    p = prime_value(p)
-    return LegendreSeq(p, tuple(_kernels.legendre_symbols(p)))
+def legendre_sequence(p: int) -> tuple[int, ...]:
+    """The symbols (a/p) = +-1 for a = 1..p-1, by marking the nonzero squares."""
+    return tuple(_kernels.legendre_symbols(prime_value(p)))
 
 
 def legendre_pair_counts(p: int) -> PairCounts:
@@ -184,8 +151,8 @@ def simulate_runs(p: int, config: SimConfig, workers: int = 1) -> SimReport:
     return _simulate(_kernels.simulate_run_counts, (p - 1) // 2, config, workers)
 
 
-def scan_runs(count: int | None = None, p_max: int | None = None) -> RunsScan:
-    """Run counts of the Legendre sequence over a range of odd primes.
+def scan_runs(count: int | None = None, p_max: int | None = None) -> tuple[tuple[int, int], ...]:
+    """Rows (p, run count of the Legendre sequence of p), p ascending.
 
     Pass exactly one of `count` (the first that many odd primes) or
     `p_max` (all odd primes p <= p_max).
@@ -199,5 +166,4 @@ def scan_runs(count: int | None = None, p_max: int | None = None) -> RunsScan:
         if not primes:
             raise ValueError(f"no odd prime is <= {p_max}")
     # sieved primes need no primality check
-    rows = tuple((p, PairCounts(*_kernels.legendre_pair_counts(p)).runs) for p in primes)
-    return RunsScan(rows)
+    return tuple((p, PairCounts(*_kernels.legendre_pair_counts(p)).runs) for p in primes)

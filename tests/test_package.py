@@ -1,9 +1,16 @@
-"""The package namespace is the union of the layer modules' `__all__` lists."""
+"""The package namespace: the union of the layer modules' `__all__` lists,
+the types its functions return, and the README tour that uses it."""
+
+import doctest
+from dataclasses import fields
+from pathlib import Path
 
 import modsquares
 from modsquares import genseq, modarith, permstats, primroots, rng, runstats
+from modsquares._kernels import backend_module
 
 MODULES = (genseq, modarith, permstats, primroots, rng, runstats)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_exports_are_the_module_exports_without_duplicates():
@@ -26,3 +33,36 @@ def test_pow_mod_is_gone():
     assert "pow_mod" not in modsquares.__all__
     assert not hasattr(modsquares, "pow_mod")
     assert not hasattr(modarith, "pow_mod")
+
+
+def test_result_wrappers_are_gone():
+    for name in ("LegendreSeq", "PrimitiveRootSet", "RunsScan"):
+        assert name not in modsquares.__all__
+        assert not hasattr(modsquares, name)
+        assert not hasattr(runstats, name) and not hasattr(primroots, name)
+    pure = backend_module("python")
+    symbols = runstats.legendre_sequence(13)
+    assert type(symbols) is tuple and symbols == tuple(pure.legendre_symbols(13))
+    roots = primroots.primitive_roots(13)
+    assert type(roots) is tuple and roots == tuple(pure.primitive_root_scan(13, [12 // 2, 12 // 3]))
+    scan = runstats.scan_runs(count=5)
+    assert type(scan) is tuple and scan == ((3, 2), (5, 3), (7, 4), (11, 6), (13, 7))
+
+
+def test_generator_cycle_derives_its_period_from_its_states():
+    assert [f.name for f in fields(genseq.GeneratorCycle)] == ["modulus", "multiplier", "states"]
+    orbit = genseq.lcg_orbit(1904, 8191)
+    assert orbit == genseq.GeneratorCycle(8191, 1904, (1, 1904, 4794, 3002, 6681))
+    assert orbit.period == 5
+
+
+def test_readme_quick_tour_runs_as_a_doctest():
+    text = README.read_text()
+    start = text.index("```python\n") + len("```python\n")
+    block = text[start:text.index("```", start)]
+    test = doctest.DocTestParser().get_doctest(
+        block, {}, "README quick tour", str(README), text.count("\n", 0, start))
+    report = []
+    results = doctest.DocTestRunner(verbose=False).run(test, out=report.append)
+    assert test.examples
+    assert results.failed == 0, "".join(report)

@@ -93,27 +93,27 @@ class TestIsPrimitiveRoot:
 
 class TestPrimitiveRoots:
     def test_three(self):
-        assert primitive_roots(3).roots == (2,)
+        assert primitive_roots(3) == (2,)
 
     def test_eleven(self):
-        assert primitive_roots(11).roots == (2, 6, 7, 8)
+        assert primitive_roots(11) == (2, 6, 7, 8)
 
     def test_twenty_nine(self):
-        assert primitive_roots(29).roots == (2, 3, 8, 10, 11, 14, 15, 18, 19, 21, 26, 27)
+        assert primitive_roots(29) == (2, 3, 8, 10, 11, 14, 15, 18, 19, 21, 26, 27)
 
     def test_count_is_totient_of_p_minus_1(self):
         for p in odd_primes_below(500):
             assert len(primitive_roots(p)) == euler_phi(p - 1)
 
     def test_roots_ascending_and_in_range(self):
-        roots = primitive_roots(97).roots
+        roots = primitive_roots(97)
         assert list(roots) == sorted(roots)
         assert all(2 <= g <= 96 for g in roots)
 
     def test_smallest_primitive_root(self):
         for p in odd_primes_below(200):
             g = smallest_primitive_root(p)
-            assert g == primitive_roots(p).roots[0]
+            assert g == primitive_roots(p)[0]
 
 
 def test_roots_have_full_period_and_non_roots_do_not():
@@ -146,4 +146,4 @@ class TestInversePairs:
             if p == 3:
                 assert flat == [2, 2]
             else:
-                assert sorted(flat) == list(primitive_roots(p).roots)
+                assert sorted(flat) == list(primitive_roots(p))

@@ -54,7 +54,7 @@ class TestLegendreSequence:
     @pytest.mark.parametrize("p", sorted(SMALL_PRIME_TABLE))
     def test_small_prime_rows(self, p):
         symbols, _ = SMALL_PRIME_TABLE[p]
-        assert legendre_sequence(p).symbols == symbols
+        assert legendre_sequence(p) == symbols
 
     def test_starts_with_plus_one_and_is_balanced(self):
         for p in odd_primes_below(500):
@@ -212,12 +212,12 @@ class TestSimulateRuns:
 
 class TestScanRuns:
     def test_first_seven(self):
-        assert scan_runs(count=7).rows == (
+        assert scan_runs(count=7) == (
             (3, 2), (5, 3), (7, 4), (11, 6), (13, 7), (17, 9), (19, 10)
         )
 
     def test_count_and_bound_forms_agree(self):
-        assert scan_runs(count=7).rows == scan_runs(p_max=19).rows
+        assert scan_runs(count=7) == scan_runs(p_max=19)
 
     def test_straight_line_for_200_primes(self):
         scan = scan_runs(count=200)
@@ -225,7 +225,7 @@ class TestScanRuns:
         assert all(runs == (p + 1) // 2 for p, runs in scan)
 
     def test_smallest_case(self):
-        assert scan_runs(p_max=3).rows == ((3, 2),)
+        assert scan_runs(p_max=3) == ((3, 2),)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
