@@ -2,16 +2,16 @@
 
 The compiled kernels (`kernels.c`, loaded by `_ckernels` with ctypes)
 are used when their library has been built and loads; otherwise the
-pure-Python twin takes over.  Both expose the same functions with
-bit-identical output, so everything above this package is
-backend-agnostic.  `BACKEND` reports which one is active.  Build the
-library with `python setup.py build_ext --inplace`.
+pure-Python twin takes over.  Both define every function named in
+`KERNELS`, with bit-identical output, so everything above this package
+is backend-agnostic; each name is bound here as a plain module global
+from the active backend.  `BACKEND` reports which one is active.  Build
+the library with `python setup.py build_ext --inplace`.
 
 The benchmark harness in `perfbench/` depends on names here and above:
-it calls six kernels by name and argument list (`count_inversions`,
-`legendre_symbols`, `primitive_root_scan`, `multiplier_orbit`,
-`simulate_inversion_counts`, `simulate_run_counts`), and it wraps, by
-name, every function in each layer's `__all__` plus
+it calls six of the `KERNELS` by name and argument list and patches
+their globals here by object identity, reads `_active.__file__`, and
+wraps, by name, every function in each layer's `__all__` plus
 `modarith.prime_value`, `permstats.ThreadPoolExecutor` and
 `permstats.SimReport.from_counts`.  Renaming any of them breaks it;
 `tests/test_perfbench_hooks.py` runs those hooks.
@@ -22,44 +22,36 @@ from importlib.machinery import EXTENSION_SUFFIXES
 
 from . import _pykernels
 
+#: The kernel functions every backend defines, with the same parameters.
+KERNELS = ("count_inversions", "legendre_symbols", "legendre_pair_counts", "primitive_root_scan",
+           "multiplier_orbit", "cycle_inversions", "simulate_inversion_counts", "simulate_run_counts")
+
 #: The shared library built from kernels.c.  Not named `_ckernels`: a
 #: library of that name would shadow the ctypes wrapper on import.
 LIBRARY = os.path.join(os.path.dirname(__file__), "kernels" + EXTENSION_SUFFIXES[0])
 
+#: The importable backends by name; the last one is the active one.
+_BACKENDS = {"python": _pykernels}
 try:
     from . import _ckernels
+
+    _BACKENDS["compiled"] = _ckernels
 except ImportError:
-    _ckernels = None
+    pass
 
-_active = _ckernels if _ckernels is not None else _pykernels
-
-BACKEND = _active.BACKEND_NAME
-
-count_inversions = _active.count_inversions
-legendre_symbols = _active.legendre_symbols
-legendre_pair_counts = _active.legendre_pair_counts
-primitive_root_scan = _active.primitive_root_scan
-multiplier_orbit = _active.multiplier_orbit
-cycle_inversions = _active.cycle_inversions
-simulate_inversion_counts = _active.simulate_inversion_counts
-simulate_run_counts = _active.simulate_run_counts
-splitmix_outputs = _active.splitmix_outputs
+BACKEND, _active = list(_BACKENDS.items())[-1]
+globals().update({name: getattr(_active, name) for name in KERNELS})
 
 
 def available_backends() -> list[str]:
     """Names of the kernel backends importable in this installation."""
-    names = ["python"]
-    if _ckernels is not None:
-        names.append("compiled")
-    return names
+    return list(_BACKENDS)
 
 
 def backend_module(name: str):
     """Fetch a backend by name ('python' or 'compiled'), for benchmarks."""
-    if name == "python":
-        return _pykernels
+    if name in _BACKENDS:
+        return _BACKENDS[name]
     if name == "compiled":
-        if _ckernels is None:
-            raise ValueError("compiled backend is not available in this installation")
-        return _ckernels
+        raise ValueError("compiled backend is not available in this installation")
     raise ValueError(f"unknown backend {name!r}")

@@ -18,7 +18,6 @@ from itertools import compress
 
 from . import LIBRARY
 
-BACKEND_NAME = "compiled"
 _ABI_VERSION = 1  # MSQ_ABI_VERSION in kernels.c
 _ORBIT_START = 1 << 12  # states reserved before the orbit walk starts
 
@@ -33,7 +32,6 @@ _SIGNATURES = {
     "msq_cycle_inversions": (None, [_i64, _ptr, _i64, _ptr, _ptr]),
     "msq_simulate_inversion_counts": (None, [_i64, _i64, _u64, _ptr, _ptr, _ptr]),
     "msq_simulate_run_counts": (None, [_i64, _i64, _u64, _ptr, _ptr]),
-    "msq_splitmix_outputs": (None, [_u64, _i64, _ptr]),
 }
 
 
@@ -140,11 +138,4 @@ def simulate_run_counts(half: int, iterations: int, seed: int) -> list:
     """Run counts of `iterations` uniform shuffles of `half` +1s and -1s."""
     arr, out = _zeros("b", 2 * half), _zeros("q", iterations)
     _lib.msq_simulate_run_counts(half, iterations, seed, _addr(arr), _addr(out))
-    return out.tolist()
-
-
-def splitmix_outputs(seed: int, count: int) -> list:
-    """Raw generator outputs, exposed for backend-parity checks."""
-    out = _zeros("Q", count)
-    _lib.msq_splitmix_outputs(seed, count, _addr(out))
     return out.tolist()

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from ..rng import SplitMix64
 
-BACKEND_NAME = "python"
-
 
 def count_inversions(values: list) -> int:
     """Exact inversion count by bottom-up merge counting, O(n log n).
@@ -171,9 +169,3 @@ def simulate_run_counts(half: int, iterations: int, seed: int) -> list:
                 prev = v
         out.append(runs)
     return out
-
-
-def splitmix_outputs(seed: int, count: int) -> list:
-    """Raw generator outputs, exposed for backend-parity checks."""
-    rng = SplitMix64(seed)
-    return [rng.next_u64() for _ in range(count)]

@@ -104,33 +104,38 @@ i64 msq_count_inversions(i64 *a, i64 *tmp, i64 n, int is_unsigned)
     return inv;
 }
 
+/* marks[r - offset] = 1 for each nonzero square r = x^2 mod p,
+   x = 1..(p-1)/2 (x and p - x square alike).  The squares step by
+   2x - 1 < p, so one conditional subtraction reduces each and no
+   division is needed. */
+static void mark_squares(i64 p, int8_t *marks, u64 offset)
+{
+    u64 r = 0;
+    for (i64 x = 1; x <= (p - 1) / 2; x++) {
+        r += (u64)(2 * x - 1);
+        if (r >= (u64)p)
+            r -= (u64)p;
+        if (r)
+            marks[r - offset] = 1;
+    }
+}
+
 /* out[a-1] = (a/p) for a = 1..p-1; out holds p-1 entries. */
 void msq_legendre_symbols(i64 p, int8_t *out)
 {
     if (p < 2)
         return;
     memset(out, -1, (size_t)(p - 1));
-    for (u64 x = 1; x <= (u64)(p - 1) / 2; x++) {
-        u64 r = mulmod(x, x, (u64)p);
-        if (r)
-            out[r - 1] = 1;
-    }
+    mark_squares(p, out, 1);
 }
 
 /* Overlapping-pair counts of the symbols (a/p), a = 1..p-1, without
    building them: out = {n++, n+-, n-+, n--}.  is_square holds p zeroed
-   entries.  The squares x^2, x = 1..(p-1)/2, step by 2x - 1 < p, so one
-   conditional subtraction reduces each and no division is needed. */
+   entries. */
 void msq_legendre_pair_counts(i64 p, int8_t *is_square, i64 *out)
 {
     i64 c[4] = {0, 0, 0, 0};
-    u64 r = 0;
-    for (i64 x = 1; x <= (p - 1) / 2; x++) {
-        r += (u64)(2 * x - 1);
-        if (r >= (u64)p)
-            r -= (u64)p;
-        is_square[r] = 1;
-    }
+    mark_squares(p, is_square, 0);
     for (i64 a = 2; a < p; a++)
         c[2 * !is_square[a - 1] + !is_square[a]]++;
     memcpy(out, c, sizeof c);
@@ -242,12 +247,4 @@ void msq_simulate_run_counts(i64 half, i64 iterations, u64 seed,
             runs += arr[i] != arr[i - 1];
         out[it] = runs;
     }
-}
-
-/* The first `count` outputs of SplitMix64(seed), for parity checks. */
-void msq_splitmix_outputs(u64 seed, i64 count, u64 *out)
-{
-    u64 state = seed;
-    for (i64 i = 0; i < count; i++)
-        out[i] = next_u64(&state);
 }

@@ -545,8 +545,8 @@ def _load_config(path: str | None) -> dict:
         return {}
     values = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

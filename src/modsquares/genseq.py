@@ -65,17 +65,25 @@ def lcg_orbit(a: int, m: int) -> GeneratorCycle:
     return GeneratorCycle(m, a, tuple(states))
 
 
-def generator_cycle(g: int, p: int) -> GeneratorCycle:
-    """The full (p-1)-cycle (1, g, g^2, ..., g^(p-2)) mod p."""
+def _root_power_walk(g: int, p: int, k: int) -> GeneratorCycle:
+    """The orbit of g**k mod p, for a primitive root g of the prime p.
+
+    g**k has order (p-1)/k for k dividing p-1, so the walk needs none of
+    `lcg_orbit`'s range and gcd checks.
+    """
     p = prime_value(p)
     if not is_primitive_root(g, p):
         raise ValueError(f"{g} is not a primitive root of {p}")
-    cycle = lcg_orbit(g, p)
-    if cycle.period != p - 1:
-        raise RuntimeError(
-            f"primitive root {g} mod {p} produced period {cycle.period}"
-        )
-    return cycle
+    multiplier = pow(g, k, p)
+    states = _kernels.multiplier_orbit(multiplier, p, p)
+    if len(states) != (p - 1) // k:
+        raise RuntimeError(f"walk of {g}**{k} mod {p} closed after {len(states)} states")
+    return GeneratorCycle(p, multiplier, tuple(states))
+
+
+def generator_cycle(g: int, p: int) -> GeneratorCycle:
+    """The full (p-1)-cycle (1, g, g^2, ..., g^(p-2)) mod p."""
+    return _root_power_walk(g, p, 1)
 
 
 def square_cycle(g: int, p: int) -> GeneratorCycle:
@@ -85,16 +93,7 @@ def square_cycle(g: int, p: int) -> GeneratorCycle:
     order (p-1)/2; the walk lists every quadratic residue exactly once,
     g^0, g^2, g^4, ...  The result is the orbit of that multiplier.
     """
-    p = prime_value(p)
-    if not is_primitive_root(g, p):
-        raise ValueError(f"{g} is not a primitive root of {p}")
-    multiplier = g * g % p
-    states = _kernels.multiplier_orbit(multiplier, p, p)
-    if len(states) != (p - 1) // 2:
-        raise RuntimeError(
-            f"square walk for root {g} mod {p} closed after {len(states)} states"
-        )
-    return GeneratorCycle(p, multiplier, tuple(states))
+    return _root_power_walk(g, p, 2)
 
 
 def squares_set(p: int) -> set[int]:

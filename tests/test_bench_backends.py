@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from modsquares._kernels import available_backends, backend_module
+from modsquares._kernels import KERNELS, available_backends, backend_module
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -28,6 +28,10 @@ def cases():
 def test_build_cases_names_every_case_once(cases):
     names = [name for name, _ in cases]
     assert names and len(names) == len(set(names))
+
+
+def test_every_kernel_has_one_case(cases):
+    assert tuple(name.partition("(")[0] for name, _ in cases) == KERNELS
 
 
 @pytest.mark.skipif("compiled" not in available_backends(), reason="compiled kernels not built")

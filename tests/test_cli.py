@@ -492,9 +492,10 @@ class TestConfigFile:
 
     def test_bad_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        for text, message in [("workers: 3\n", "expected 'key=value'"),
-                              ("seed=abc\n", "value for seed must be an integer")]:
-            cfg.write_text(text)
+        for data, message in [(b"workers: 3\n", "expected 'key=value'"),
+                              (b"seed=abc\n", "value for seed must be an integer"),
+                              (b"seed=\xff\xfe\n", f"cannot read config file {cfg}")]:
+            cfg.write_bytes(data)
             assert main(["scan", "--count", "5", "--config", str(cfg)]) == ExitStatus.USAGE
             assert message in capsys.readouterr().err
 

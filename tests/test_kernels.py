@@ -6,12 +6,13 @@ import shutil
 import subprocess
 import sys
 import textwrap
+from inspect import signature
 from pathlib import Path
 
 import pytest
 
 import modsquares
-from modsquares._kernels import LIBRARY, available_backends, backend_module
+from modsquares._kernels import KERNELS, LIBRARY, available_backends, backend_module
 from modsquares.permstats import SimConfig, simulate_inversions
 from modsquares.primroots import primitive_roots
 from modsquares.rng import SplitMix64, stream_seeds
@@ -64,61 +65,72 @@ class TestSplitMix64:
         assert seeds == stream_seeds(42, 8)
 
 
+def _shuffles(seed, count, most):
+    """`count` shuffles of range(n), n drawn below `most`, from one stream."""
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        values = list(range(rng.randbelow(most)))
+        rng.shuffle(values)
+        yield (values,)
+
+
+def _orbits():
+    cases = [(1904, 8191), (2, 11), (7, 100), (1, 5)]
+    cases.append((6, 99991))  # 99990 states outgrow the first buffer
+    # 2 has order 2k mod 2^k + 1; on both sides of the 2^32 product fast path
+    cases += [(2, (1 << k) + 1) for k in (31, 32, 61, 62)]
+    return [(a, m, m) for a, m in cases]
+
+
+def _root_cycles():
+    for p in (3, 5, 7, 11, 29, 97, 1009, 2003, 10007):
+        roots = list(primitive_roots(p))
+        yield p, roots[::100] if p == 10007 else roots  # the pure twin takes ~20 ms a root there
+    # 3 has order 5 mod 11, 10 order 2, 1 order 1; 0 and 11 never return to 1
+    yield from [(11, [3, 2]), (11, [10, 1, 0, 11, 13]), (29, [])]
+
+
+#: The argument tuples on which each kernel's two backends must agree.
+PARITY_INPUTS = {
+    "count_inversions": list(_shuffles(9, 50, 400)),
+    # 1, 2, 9 and 15 also reach the kernel's non-prime corners
+    "legendre_symbols": [(p,) for p in (1, 2, 3, 5, 7, 9, 11, 15, 8191, 9973)],
+    # both classes mod 4 (13, 17 and 9973 are 1 mod 4; 19, 8191 and 99991
+    # are 3 mod 4) and the non-prime corners
+    "legendre_pair_counts": [(p,) for p in (1, 2, 3, 5, 7, 9, 11, 13, 15, 17, 19, 8191, 9973, 99991)],
+    # the exponents are (p-1)/q for each prime q dividing p-1
+    "primitive_root_scan": [(11, [5, 2]), (29, [14, 4]), (97, [48, 32]), (3, [1]), (9973, [4986, 3324, 36])],
+    "multiplier_orbit": _orbits(),
+    "cycle_inversions": list(_root_cycles()),
+    "simulate_inversion_counts": [(27, 300, 555)],
+    "simulate_run_counts": [(48, 300, 777)],
+}
+
+
+def test_every_kernel_has_parity_inputs():
+    assert list(PARITY_INPUTS) == list(KERNELS)
+
+
+@needs_compiled
+def test_both_backends_define_every_kernel_with_the_same_parameters(compiled):
+    for name in KERNELS:
+        assert list(signature(getattr(compiled, name)).parameters) == list(
+            signature(getattr(pure, name)).parameters), name
+
+
+def _parity_test(kernel):
+    def test(self, compiled):
+        for args in PARITY_INPUTS[kernel]:
+            assert getattr(compiled, kernel)(*args) == getattr(pure, kernel)(*args), args
+
+    return test
+
+
 @needs_compiled
 class TestBackendParity:
-    def test_splitmix_stream(self, compiled):
-        for seed in (0, 1, 0x5EED, (1 << 64) - 1):
-            assert compiled.splitmix_outputs(seed, 100) == pure.splitmix_outputs(seed, 100)
+    """One `test_<kernel>` per name in `KERNELS`, on its `PARITY_INPUTS`, plus edge cases."""
 
-    def test_splitmix_matches_rng_class(self, compiled):
-        rng = SplitMix64(0x5EED)
-        assert compiled.splitmix_outputs(0x5EED, 50) == [rng.next_u64() for _ in range(50)]
-
-    def test_count_inversions(self, compiled):
-        rng = SplitMix64(9)
-        for _ in range(50):
-            n = rng.randbelow(400)
-            values = list(range(n))
-            rng.shuffle(values)
-            assert compiled.count_inversions(values) == pure.count_inversions(values)
-
-    def test_legendre_symbols(self, compiled):
-        # 1, 2, 9 and 15 also reach the kernel's non-prime corners
-        for p in (1, 2, 3, 5, 7, 9, 11, 15, 8191, 9973):
-            assert compiled.legendre_symbols(p) == pure.legendre_symbols(p)
-
-    def test_legendre_pair_counts(self, compiled):
-        # the primes above, both classes mod 4 (13, 17 and 9973 are 1 mod 4;
-        # 19, 8191 and 99991 are 3 mod 4) and the non-prime corners
-        for p in (1, 2, 3, 5, 7, 9, 11, 13, 15, 17, 19, 8191, 9973, 99991):
-            assert compiled.legendre_pair_counts(p) == pure.legendre_pair_counts(p)
-
-    def test_primitive_root_scan(self, compiled):
-        cases = {
-            11: [5, 2],        # (p-1)/q for q | 10
-            29: [14, 4],       # q in {2, 7}
-            97: [48, 32],      # q in {2, 3}
-            3: [1],            # q = 2: the one root is 2
-            9973: [4986, 3324, 36],  # q in {2, 3, 277}
-        }
-        for p, exponents in cases.items():
-            assert compiled.primitive_root_scan(p, exponents) == pure.primitive_root_scan(p, exponents)
-
-    def test_multiplier_orbit(self, compiled):
-        cases = [(1904, 8191), (2, 11), (7, 100), (1, 5)]
-        cases.append((6, 99991))  # 99990 states outgrow the first buffer
-        # 2 has order 2k mod 2^k + 1; on both sides of the 2^32 product fast path
-        cases += [(2, (1 << k) + 1) for k in (31, 32, 61, 62)]
-        for a, m in cases:
-            assert compiled.multiplier_orbit(a, m, m) == pure.multiplier_orbit(a, m, m)
-
-    def test_cycle_inversions(self, compiled):
-        for p in (3, 5, 7, 11, 29, 97, 1009, 2003, 10007):
-            roots = list(primitive_roots(p))
-            if p == 10007:
-                roots = roots[::100]  # the pure twin takes ~20 ms a root here
-            assert compiled.cycle_inversions(p, roots) == pure.cycle_inversions(p, roots)
-        # 3 has order 5 mod 11, 10 order 2, 1 order 1; 0 and 11 never return to 1
+    def test_cycle_inversions_marks_each_non_cycle(self, compiled):
         for mod in (compiled, pure):
             assert mod.cycle_inversions(11, [3, 2]) == [-1, 15]
             assert mod.cycle_inversions(11, [10, 1, 0, 11, 13]) == [-1, -1, -1, -1, 15]
@@ -153,17 +165,15 @@ class TestBackendParity:
         with pytest.raises(OverflowError):
             compiled.count_inversions([hi + 1, -1])
 
-    def test_simulate_inversion_counts(self, compiled):
-        assert compiled.simulate_inversion_counts(27, 300, 555) == pure.simulate_inversion_counts(27, 300, 555)
-
-    def test_simulate_run_counts(self, compiled):
-        assert compiled.simulate_run_counts(48, 300, 777) == pure.simulate_run_counts(48, 300, 777)
-
     def test_simulations_independent_of_worker_threads(self):
         assert modsquares.KERNEL_BACKEND == "compiled"
         config = SimConfig(seed=0xC0FFEE, iterations=4001, streams=2)
         assert simulate_inversions(29, config, workers=2) == simulate_inversions(29, config, workers=1)
         assert simulate_runs(97, config, workers=2) == simulate_runs(97, config, workers=1)
+
+
+for _kernel in KERNELS:
+    setattr(TestBackendParity, f"test_{_kernel}", _parity_test(_kernel))
 
 
 def _setup_py_build_ext(out: Path, **env) -> tuple[str, list[Path]]:

@@ -1,7 +1,10 @@
 """The package namespace: the union of the layer modules' `__all__` lists,
-the types its functions return, and the README tour that uses it."""
+the types its functions return, the README tour that uses it, and the one
+version string."""
 
 import doctest
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,7 +13,8 @@ from modsquares import genseq, modarith, permstats, primroots, rng, runstats
 from modsquares._kernels import backend_module
 
 MODULES = (genseq, modarith, permstats, primroots, rng, runstats)
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_exports_are_the_module_exports_without_duplicates():
@@ -66,3 +70,10 @@ def test_readme_quick_tour_runs_as_a_doctest():
     results = doctest.DocTestRunner(verbose=False).run(test, out=report.append)
     assert test.examples
     assert results.failed == 0, "".join(report)
+
+
+def test_the_distribution_version_is_the_package_version():
+    proc = subprocess.run([sys.executable, "setup.py", "--version"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == modsquares.__version__

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from modsquares import cli, genseq
-from modsquares._kernels import available_backends, backend_module
+from modsquares._kernels import KERNELS, available_backends, backend_module
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -58,3 +58,8 @@ def test_both_backends_agree_on_each_workloads_first_pass(harness):
                 assert getattr(compiled, kernel)(*args) == expected, (name, kernel)
             called.add(kernel)
     assert called == set(spans.KERNELS)
+
+
+def test_traced_kernels_are_package_kernels(harness):
+    spans, _ = harness
+    assert set(spans.KERNELS) <= set(KERNELS)
