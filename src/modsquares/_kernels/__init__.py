@@ -12,9 +12,12 @@ The benchmark harness in `perfbench/` depends on names here and above:
 it calls six of the `KERNELS` by name and argument list and patches
 their globals here by object identity, reads `_active.__file__`, and
 wraps, by name, every function in each layer's `__all__` plus
-`modarith.prime_value`, `permstats.ThreadPoolExecutor` and
-`permstats.SimReport.from_counts`.  Renaming any of them breaks it;
-`tests/test_perfbench_hooks.py` runs those hooks.
+`modarith.prime_value`, `permstats.ThreadPoolExecutor`,
+`permstats.SimReport.from_counts`, `cli.build_parser` (which `cli.main`
+calls through its module global) and the four emitters `cli.emit_csv`,
+`cli.emit_json`, `cli.emit_svg_histogram` and `cli.emit_svg_scatter`.
+Renaming any of them breaks it; `tests/test_perfbench_hooks.py` runs
+those hooks.
 """
 
 import os

@@ -76,13 +76,18 @@ def legendre_pair_counts(p: int) -> tuple:
     """Overlapping-pair counts (n++, n+-, n-+, n--) of the symbols (a/p).
 
     Counts the pairs (a-1, a) for a = 2..p-1 without building the
-    symbol list.
+    symbol list, from three sums as `kernels.c` does: the squares first,
+    the squares second, and the pairs of two squares.  Read as one
+    big-endian integer, the marks of 1..p-1 have a byte per mark, so
+    `m & (m >> 8)` has a bit set for each pair of adjacent squares.
     """
+    if p < 3:
+        return (0, 0, 0, 0)
     is_square = _square_marks(p)
-    counts = [0, 0, 0, 0]
-    for prev, cur in zip(is_square[1 : p - 1], is_square[2:p]):
-        counts[3 - 2 * prev - cur] += 1
-    return tuple(counts)
+    first, second = is_square.count(1, 1, p - 1), is_square.count(1, 2, p)
+    m = int.from_bytes(is_square[1:p], "big")
+    both = (m & (m >> 8)).bit_count()
+    return (both, first - both, second - both, (p - 2) - first - second + both)
 
 
 def primitive_root_scan(p: int, exponents: list) -> list:

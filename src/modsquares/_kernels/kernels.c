@@ -129,16 +129,41 @@ void msq_legendre_symbols(i64 p, int8_t *out)
     mark_squares(p, out, 1);
 }
 
+/* Entries summed per block in 32-bit lanes before they are added to the
+   64-bit totals: a block's sums stay far below 2^32. */
+#define PAIR_BLOCK 65536
+
 /* Overlapping-pair counts of the symbols (a/p), a = 1..p-1, without
-   building them: out = {n++, n+-, n-+, n--}.  is_square holds p zeroed
-   entries. */
+   building them: out = {n++, n+-, n-+, n--}, all zero for p < 3.
+   is_square holds p zeroed entries.  Over the pairs (a-1, a),
+   a = 2..p-1, three sums give all four counts: the squares first, the
+   squares second, and the pairs of two squares.  Sums of 0/1 bytes in
+   32-bit blocks vectorize; an increment at a computed index does not. */
 void msq_legendre_pair_counts(i64 p, int8_t *is_square, i64 *out)
 {
-    i64 c[4] = {0, 0, 0, 0};
+    i64 first = 0, second = 0, both = 0;
+    if (p < 3) {
+        memset(out, 0, 4 * sizeof *out);
+        return;
+    }
     mark_squares(p, is_square, 0);
-    for (i64 a = 2; a < p; a++)
-        c[2 * !is_square[a - 1] + !is_square[a]]++;
-    memcpy(out, c, sizeof c);
+    for (i64 lo = 2; lo < p; lo += PAIR_BLOCK) {
+        i64 hi = p - lo > PAIR_BLOCK ? lo + PAIR_BLOCK : p;
+        uint32_t f = 0, s = 0, b = 0;
+        for (i64 a = lo; a < hi; a++) {
+            uint8_t prev = (uint8_t)is_square[a - 1], cur = (uint8_t)is_square[a];
+            f += prev;
+            s += cur;
+            b += prev & cur;
+        }
+        first += f;
+        second += s;
+        both += b;
+    }
+    out[0] = both;
+    out[1] = first - both;
+    out[2] = second - both;
+    out[3] = (p - 2) - first - second + both;
 }
 
 /* is_root[g] = 1 for every g in [2, p-1] with g^e != 1 mod p for all k

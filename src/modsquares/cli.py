@@ -522,21 +522,38 @@ COMMANDS: dict[str, Command] = {
 }
 
 
-def build_parser(commands: dict[str, Command] = COMMANDS) -> _Parser:
-    """The argparse parser with a subparser for each entry of `commands`."""
+def _add_flags(parser: _Parser, name: str) -> None:
+    """Declare subcommand `name`'s flags on `parser`, and its name and handler
+    as defaults."""
+    command = COMMANDS[name]
+    for option, kwargs in _OUTPUT_FLAGS + command.flags:
+        if isinstance(option, str):
+            parser.add_argument(option, **kwargs)
+        else:
+            group = parser.add_mutually_exclusive_group(**kwargs)
+            for member, member_kwargs in option:
+                group.add_argument(member, **member_kwargs)
+    parser.set_defaults(command=name, handler=command.handler)
+
+
+def build_parser(name: str | None = None) -> _Parser:
+    """The parser of subcommand `name`, for the arguments after the name.
+
+    It is the parser the full table holds for that name (same prog, help
+    and defaults), without the top-level parser around it.  For any other
+    `name` (None, a flag, an unknown word) it is the full table: the
+    top-level parser with `--version` and a subparser per command, so
+    top-level help and errors list every command.
+    """
+    if name in COMMANDS:
+        parser = _Parser(prog=f"modsquares {name}")
+        _add_flags(parser, name)
+        return parser
     parser = _Parser(prog="modsquares", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, command in commands.items():
-        sub = subs.add_parser(name, help=command.help)
-        for option, kwargs in _OUTPUT_FLAGS + command.flags:
-            if isinstance(option, str):
-                sub.add_argument(option, **kwargs)
-            else:
-                group = sub.add_mutually_exclusive_group(**kwargs)
-                for member, member_kwargs in option:
-                    group.add_argument(member, **member_kwargs)
-        sub.set_defaults(handler=command.handler)
+    for command_name, command in COMMANDS.items():
+        _add_flags(subs.add_parser(command_name, help=command.help), command_name)
     return parser
 
 
@@ -606,12 +623,13 @@ def main(argv: list[str] | None = None) -> int:
     """Parse argv, run one subcommand, write its output; returns the exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    # A named subcommand needs only its own subparser; anything else (no
-    # argv, a flag, an unknown name) gets the full table for help and errors.
-    name = argv[0] if argv else None
-    parser = build_parser({name: COMMANDS[name]} if name in COMMANDS else COMMANDS)
+    # A named subcommand needs only its own parser, which reads the rest of
+    # argv; anything else (no argv, a flag, an unknown name) gets the full
+    # table for help and errors.
+    name = argv[0] if argv and argv[0] in COMMANDS else None
+    parser = build_parser(name)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv[1:] if name else argv)
         _resolve(args)
         if args.format == "svg" and not COMMANDS[args.command].chart(args):
             # refused before any work is done

@@ -183,6 +183,22 @@ def subparsers(parser):
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
+# Bad or unusual argv, each with its exit code; the one-command parser must
+# answer each exactly as the full table does.
+EDGE_ARGV = [
+    (["pairs"], ExitStatus.USAGE),                             # a missing required flag
+    (["pairs", "--p", "7", "--bogus"], ExitStatus.USAGE),      # an unknown flag
+    (["pairs", "--p", "x"], ExitStatus.USAGE),
+    (["runs", "--p", "7", "--scan", "3"], ExitStatus.USAGE),   # mutually exclusive
+    (["runs"], ExitStatus.USAGE),                              # neither of a required group
+    (["sim-runs", "--p", "7", "--iter", "5"], ExitStatus.OK),  # an abbreviated flag
+    (["pairs", "--p=7"], ExitStatus.OK),
+    (["pairs", "--p", "7", "extra"], ExitStatus.USAGE),        # an extra positional
+    (["runs", "--version"], ExitStatus.USAGE),                 # only the top level has --version
+    (["runs", "-h"], ExitStatus.OK),
+]
+
+
 class TestOneCommandParser:
     """`main` builds only the named subcommand's parser; it must act as the full one."""
 
@@ -192,29 +208,46 @@ class TestOneCommandParser:
     @pytest.mark.parametrize("name", list(cli.COMMANDS))
     def test_same_help_and_namespace(self, name):
         full = cli.build_parser()
-        one = cli.build_parser({name: cli.COMMANDS[name]})
-        assert list(subparsers(one)) == [name]
+        one = cli.build_parser(name)
+        assert not any(isinstance(a, argparse._SubParsersAction) for a in one._actions)
         assert list(subparsers(full)) == list(cli.COMMANDS)
-        assert subparsers(one)[name].format_help() == subparsers(full)[name].format_help()
-        argv = [name, *SAMPLE_ARGV[name]]
-        ours, theirs = one.parse_args(argv), full.parse_args(argv)
+        assert one.format_help() == subparsers(full)[name].format_help()
+        ours = one.parse_args(SAMPLE_ARGV[name])
+        theirs = full.parse_args([name, *SAMPLE_ARGV[name]])
         assert ours == theirs
+        assert ours.command == name
         assert ours.handler is theirs.handler is cli.COMMANDS[name].handler
 
     def test_main_builds_one_command_or_the_full_table(self, monkeypatch, capsys):
         seen = []
         build = cli.build_parser
 
-        def spy(commands=cli.COMMANDS):
-            seen.append(list(commands))
-            return build(commands)
+        def spy(name=None):
+            seen.append(name)
+            return build(name)
 
         monkeypatch.setattr(cli, "build_parser", spy)
         main(["runs", "--p", "7"])
         for argv in ([], ["bogus"], ["--version"], ["--help"], ["--p", "7"]):
             main(argv)
         capsys.readouterr()
-        assert seen == [["runs"]] + [list(cli.COMMANDS)] * 5
+        assert seen == ["runs"] + [None] * 5
+
+    @pytest.mark.parametrize("argv, code", [pytest.param(*case, id=" ".join(case[0])) for case in EDGE_ARGV])
+    def test_edge_argv_answered_as_by_the_full_table(self, monkeypatch, capsys, argv, code):
+        ours = main(argv), capsys.readouterr()
+        build = cli.build_parser
+
+        def full_table(name=None):
+            """The full table, reading the argv after `name` with `name` put back first."""
+            parser = build()
+            parse = parser.parse_args
+            parser.parse_args = lambda args: parse([name, *args] if name else args)
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", full_table)
+        assert (main(argv), capsys.readouterr()) == ours
+        assert ours[0] == code
 
     def test_argv_none_reads_sys_argv(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["modsquares", "runs", "--p", "7"])

@@ -2,6 +2,7 @@
 
 import ctypes
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -13,10 +14,11 @@ import pytest
 
 import modsquares
 from modsquares._kernels import KERNELS, LIBRARY, available_backends, backend_module
+from modsquares.modarith import odd_primes_below
 from modsquares.permstats import SimConfig, simulate_inversions
 from modsquares.primroots import primitive_roots
 from modsquares.rng import SplitMix64, stream_seeds
-from modsquares.runstats import simulate_runs
+from modsquares.runstats import PairCounts, aladov_predicted, legendre_sequence, pair_counts, simulate_runs
 
 pure = backend_module("python")
 
@@ -176,6 +178,18 @@ for _kernel in KERNELS:
     setattr(TestBackendParity, f"test_{_kernel}", _parity_test(_kernel))
 
 
+#: The primes on both sides of the first two block ends of the compiled
+#: pair-count loop, whose blocks hold 65536 pairs from a = 2 on.
+PAIR_BLOCK_EDGE_PRIMES = (65537, 65539, 131071, 131101)
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_pair_counts_match_the_symbols_and_aladov(backend):
+    kernel = backend_module(backend).legendre_pair_counts
+    for p in [*odd_primes_below(5000), *PAIR_BLOCK_EDGE_PRIMES]:
+        assert PairCounts(*kernel(p)) == pair_counts(legendre_sequence(p)) == aladov_predicted(p), p
+
+
 def _setup_py_build_ext(out: Path, **env) -> tuple[str, list[Path]]:
     """Run `setup.py build_ext` into `out`; its stderr and the libraries it made."""
     proc = subprocess.run(
@@ -222,6 +236,51 @@ def test_without_the_library_the_package_falls_back_to_python(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("fallback ok: compiled backend is not available")
+
+
+def _sanitizer_runtimes() -> list[str]:
+    """gcc's ASan and UBSan runtime libraries, or [] when either is missing."""
+    if shutil.which("gcc") is None:
+        return []
+    paths = [subprocess.run(["gcc", f"-print-file-name={name}"], capture_output=True, text=True).stdout.strip()
+             for name in ("libasan.so", "libubsan.so")]
+    return paths if all(os.path.isabs(path) and os.path.exists(path) for path in paths) else []
+
+
+SANITIZER_RUNTIMES = _sanitizer_runtimes()
+
+
+@pytest.mark.skipif(not SANITIZER_RUNTIMES, reason="gcc or its ASan/UBSan runtime is missing")
+def test_sanitized_kernels_match_the_pure_backend(tmp_path):
+    """Every `PARITY_INPUTS` case, run on kernels.c built with ASan and UBSan."""
+    package = Path(modsquares.__file__).parent
+    copy = tmp_path / "modsquares"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("*.so", "__pycache__"))
+    build = subprocess.run(
+        ["gcc", "-shared", "-fPIC", "-O3", "-g", "-fno-omit-frame-pointer",
+         "-fsanitize=address,undefined", "-fno-sanitize-recover=undefined",
+         "-o", str(copy / "_kernels" / Path(LIBRARY).name), str(copy / "_kernels" / "kernels.c")],
+        capture_output=True, text=True, timeout=120)
+    assert build.returncode == 0, build.stderr
+    (tmp_path / "cases.pickle").write_bytes(pickle.dumps(PARITY_INPUTS))
+    script = textwrap.dedent(f"""
+        import pickle
+        from modsquares._kernels import BACKEND, LIBRARY, backend_module
+        assert BACKEND == "compiled" and LIBRARY.startswith({str(tmp_path)!r}), (BACKEND, LIBRARY)
+        with open("cases.pickle", "rb") as f:
+            parity_inputs = pickle.load(f)
+        compiled, pure = backend_module("compiled"), backend_module("python")
+        for name, cases in parity_inputs.items():
+            for args in cases:
+                assert getattr(compiled, name)(*args) == getattr(pure, name)(*args), (name, args)
+        print("parity ok")
+    """)
+    env = {**os.environ, "PYTHONPATH": str(tmp_path), "LD_PRELOAD": " ".join(SANITIZER_RUNTIMES),
+           "ASAN_OPTIONS": "detect_leaks=0:allocator_may_return_null=1"}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert proc.stdout == "parity ok\n"
 
 
 def test_backend_module_rejects_unknown_name():
