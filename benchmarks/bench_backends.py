@@ -31,7 +31,7 @@ def build_cases():
     SplitMix64(seed).shuffle(shuffled)
 
     p_scan = 9973
-    exponents = [(p_scan - 1) // q for q in factorize(p_scan - 1).primes]
+    exponents = [(p_scan - 1) // q for q, _ in factorize(p_scan - 1)]
 
     p_orbit = 99991
     g_orbit = smallest_primitive_root(p_orbit)

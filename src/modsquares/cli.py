@@ -21,7 +21,6 @@ import sys
 from csv import writer as csv_writer
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, starmap
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -72,7 +71,7 @@ class CommandResult:
 
     inputs: dict
     header: list[str]
-    rows: Sequence[tuple]
+    rows: Sequence[tuple]  # cells are int or str; --precision formats footers
     footers: dict = field(default_factory=dict)
     chart: Callable[[], bytes] | None = None  # draws the SVG; None: no SVG
 
@@ -87,8 +86,6 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(x, precision: int) -> str:
     """Render a number: integers exactly, everything else as a decimal
     with `precision` digits, trailing zeros after the point stripped."""
-    if isinstance(x, bool):
-        return str(int(x))
     if isinstance(x, int):
         return str(x)
     if isinstance(x, Fraction):
@@ -106,7 +103,11 @@ def _fmt(x, precision: int) -> str:
 
 
 def emit_csv(rows, header, footers=None, precision: int = DEFAULTS["precision"]) -> bytes:
-    """RFC-4180-style CSV: header first, `\\n` endings, `#` footer comments."""
+    """RFC-4180-style CSV: header first, `\\n` endings, `#` footer comments.
+
+    Row cells are ints or strings and go through csv.writer as they are;
+    only the footers are numbers that `precision` formats.
+    """
     arity = len(header)
     for row in rows:
         if len(row) != arity:
@@ -116,12 +117,7 @@ def emit_csv(rows, header, footers=None, precision: int = DEFAULTS["precision"])
     buf = io.StringIO()
     w = csv_writer(buf, lineterminator="\n")
     w.writerow(header)
-    if rows and set(map(type, chain.from_iterable(rows))) == {int}:
-        # all plain ints (not bool): str() is what _fmt gives and csv never quotes
-        buf.writelines(starmap((",".join(["{}"] * arity) + "\n").format, rows))
-    else:
-        for row in rows:
-            w.writerow([_fmt(v, precision) if isinstance(v, (int, float, Fraction)) else v for v in row])
+    w.writerows(rows)
     for key, value in (footers or {}).items():
         buf.write(f"# {key}={_fmt(value, precision)}\n")
     return buf.getvalue().encode("utf-8")

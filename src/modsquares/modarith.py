@@ -253,8 +253,8 @@ def discrete_log(g: int, a: int, p: int) -> int:
     if not 1 <= a < p:
         raise ValueError(f"a must lie in [1, {p - 1}], got {a}")
     n = p - 1
-    primes = factorize(n).primes
-    for q in primes:
+    pairs = factorize(n)
+    for q, _ in pairs:
         while n % q == 0 and pow(g, n // q, p) == 1:
             n //= q
     if pow(a, n, p) != 1:
@@ -263,7 +263,7 @@ def discrete_log(g: int, a: int, p: int) -> int:
             "so g is not a primitive root"
         )
     l, modulus = 0, 1
-    for q in primes:
+    for q, _ in pairs:
         if n % q:
             continue
         qe = q

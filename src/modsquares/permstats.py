@@ -82,7 +82,6 @@ def inversion_null_moments(p: int) -> tuple[Fraction, Fraction]:
 class InversionSummary:
     """Observed inversion counts over every primitive-root cycle of p."""
 
-    p: int
     per_root: tuple[tuple[int, int], ...]
     sample_mean: Fraction
     sample_sd: float
@@ -129,7 +128,6 @@ def inversion_summary(p: int) -> InversionSummary:
         g = roots[counts.index(-1)]
         raise RuntimeError(f"primitive root {g} mod {p} did not walk a (p-1)-cycle")
     return InversionSummary(
-        p=p,
         per_root=tuple(zip(roots, counts)),
         sample_mean=Fraction(sum(counts), len(counts)),
         sample_sd=_sample_sd(_spread(counts), len(counts)),
@@ -182,7 +180,6 @@ class SimReport:
     histogram: dict[int, int]
     sample_mean: float
     sample_sd: float
-    config: SimConfig
 
     @classmethod
     def from_counts(cls, counts: Iterable[int], config: SimConfig) -> "SimReport":
@@ -197,7 +194,6 @@ class SimReport:
             histogram=histogram,
             sample_mean=s1 / n,
             sample_sd=_sample_sd(n * s2 - s1 * s1, n) if n > 1 else 0.0,
-            config=config,
         )
 
 

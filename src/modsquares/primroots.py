@@ -9,14 +9,12 @@ exact-mean identity for cycle inversions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernels
-from .modarith import MAX_MODULUS, is_prime, prime_value
+from .modarith import MAX_MODULUS, prime_value
 
 __all__ = [
-    "Factorization",
     "euler_phi",
     "factorize",
     "inverse_pairs",
@@ -26,41 +24,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Complete prime factorization n = prod(q**e), primes ascending."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization n = prod(q**e) by trial division, O(sqrt n).
 
-    n: int
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        product = 1
-        last = 1
-        for q, e in self.pairs:
-            if q <= last or not is_prime(q):
-                raise ValueError(f"bad factor list for {self.n}: {self.pairs}")
-            if e < 1:
-                raise ValueError(f"exponent must be positive, got {q}**{e}")
-            last = q
-            product *= q**e
-        if product != self.n:
-            raise ValueError(
-                f"factors {self.pairs} multiply to {product}, not {self.n}"
-            )
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        """The distinct primes, ascending."""
-        return tuple(q for q, _ in self.pairs)
-
-
-def factorize(n: int) -> Factorization:
-    """Prime factorization by trial division, O(sqrt n)."""
+    Returns the (q, e) pairs, primes ascending.
+    """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if n >= MAX_MODULUS:
         raise ValueError(f"n must be below 2**63, got {n}")
-    original = n
     pairs = []
     d = 2
     while d * d <= n:
@@ -73,7 +45,7 @@ def factorize(n: int) -> Factorization:
         d += 1 if d == 2 else 2
     if n > 1:
         pairs.append((n, 1))
-    return Factorization(original, tuple(pairs))
+    return tuple(pairs)
 
 
 def euler_phi(n: int) -> int:
@@ -83,7 +55,7 @@ def euler_phi(n: int) -> int:
     if n == 1:
         return 1
     phi = 1
-    for q, e in factorize(n).pairs:
+    for q, e in factorize(n):
         phi *= q ** (e - 1) * (q - 1)
     return phi
 
@@ -91,7 +63,7 @@ def euler_phi(n: int) -> int:
 @lru_cache(maxsize=4096)
 def _cofactor_exponents(p: int) -> tuple[int, ...]:
     """(p-1)/q for each distinct prime q dividing p - 1."""
-    return tuple((p - 1) // q for q in factorize(p - 1).primes)
+    return tuple((p - 1) // q for q, _ in factorize(p - 1))
 
 
 def is_primitive_root(g: int, p: int) -> bool:

@@ -268,8 +268,7 @@ class TestOneCommandParser:
 
 
 def reference_csv(rows, header, footers=None, precision=6):
-    """The csv.writer + _fmt rendering of every table, as emit_csv had it
-    before integer tables got their own path."""
+    """An oracle apart from emit_csv: every cell through _fmt, then csv.writer."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
@@ -283,9 +282,6 @@ def reference_csv(rows, header, footers=None, precision=6):
 INTS = st.one_of(st.integers(-10**6, 10**6), st.integers(2**63, 2**80), st.integers(-2**80, -2**63))
 CELLS = st.one_of(
     INTS,
-    st.booleans(),
-    st.fractions(max_denominator=50),
-    st.floats(allow_nan=False),
     st.just(""),
     st.text(alphabet=st.sampled_from('ab ,"\n\r-1'), max_size=6),
 )
@@ -300,7 +296,7 @@ def tables(draw, cells):
     return rows, header, footers
 
 
-class TestEmitCsvFastPath:
+class TestEmitCsv:
     @given(tables(INTS), st.integers(0, 8))
     def test_integer_tables_match_the_reference(self, table, precision):
         rows, header, footers = table
@@ -310,9 +306,6 @@ class TestEmitCsvFastPath:
     def test_mixed_tables_match_the_reference(self, table, precision):
         rows, header, footers = table
         assert emit_csv(rows, header, footers, precision) == reference_csv(rows, header, footers, precision)
-
-    def test_bools_are_not_taken_for_ints(self):
-        assert emit_csv([(True, False), (3, -4)], ["a", "b"]) == b"a,b\n1,0\n3,-4\n"
 
     def test_arity_mismatch_after_integer_rows(self):
         with pytest.raises(RuntimeError, match="row arity 1 does not match header arity 2"):
@@ -493,10 +486,7 @@ class TestSvgOutput:
         assert svg.count('fill="steelblue"') == 1
 
     def test_empty_histogram_is_a_domain_error(self):
-        report = SimReport(
-            histogram={}, sample_mean=0.0, sample_sd=0.0,
-            config=SimConfig(seed=1, iterations=1),
-        )
+        report = SimReport(histogram={}, sample_mean=0.0, sample_sd=0.0)
         with pytest.raises(ValueError):
             emit_svg_histogram(report, "empty", "value")
 
@@ -571,6 +561,12 @@ class TestRepro:
         for name in expected:
             assert (out_dir / name).exists(), name
             assert name in manifest
+
+    def test_manifest_quotes_the_out_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        manifest = run_to_file(tmp_path, "manifest.csv",
+                               ["repro", "--out-dir", 'a,b"c', "--iterations", "10"])
+        assert manifest.decode().splitlines()[1] == 'period,"a,b""c/orbit_m8191_a1904.csv",5'
 
     def test_repro_is_deterministic(self, tmp_path):
         for d in ("one", "two"):
@@ -682,6 +678,10 @@ GOLDEN = [
      "54c948ce8e62335b0fdae913cb634f2db3b7b1a9d14ffc37cb6a73097d803a45"),
     (("sqrt", "--p", "8191", "--a", "2", "--format", "json"),
      "dcada9bb1c8952e3ce9575468564affaf02e1dd75b5f984c98582ba614cdcf33"),
+    (("sqrt", "--p", "8191", "--a", "3"),
+     "f8aeaea9690e743aa5a113d44b142b3e59704cdfb8bf907d4d275ec39a0cf407"),
+    (("sqrt", "--p", "8191", "--a", "3", "--format", "json"),
+     "6767aea379942fd11dddf0c70dd3b07a378c149b0b6b3449536bb4bb7be377fb"),
     (("repro", "--out-dir", "art", "--iterations", "200", "--seed", "5"),
      "9d65cf0861e5faf82505aedb971218bf0eb7d3c2619ec3441793f1fed5e9ffe7"),
     (("repro", "--out-dir", "art", "--iterations", "200", "--seed", "5", "--format", "json"),
@@ -695,6 +695,25 @@ def test_golden_output(tmp_path, monkeypatch, argv, digest):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "defaults.cfg").write_text(GOLDEN_CONFIG)
     assert hashlib.sha256(run_to_file(tmp_path, "out", list(argv))).hexdigest() == digest
+
+
+def test_row_cells_are_ints_or_strings(tmp_path, monkeypatch):
+    """emit_csv trusts its rows: every table a golden argv renders holds
+    only int and str cells; non-integers appear only in footers."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "defaults.cfg").write_text(GOLDEN_CONFIG)
+    cells = []
+    emit = cli.emit_csv
+
+    def spy(rows, *args, **kwargs):
+        cells.extend(v for row in rows for v in row)
+        return emit(rows, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "emit_csv", spy)
+    for argv, _ in GOLDEN:
+        run_to_file(tmp_path, "out", list(argv))
+    assert cells
+    assert {type(v) for v in cells} <= {int, str}
 
 
 def test_golden_repro_artifacts(tmp_path, monkeypatch):

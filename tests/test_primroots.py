@@ -7,7 +7,6 @@ import pytest
 from modsquares.genseq import lcg_orbit
 from modsquares.modarith import odd_primes_below
 from modsquares.primroots import (
-    Factorization,
     euler_phi,
     factorize,
     inverse_pairs,
@@ -22,37 +21,40 @@ def phi_by_gcd_count(n):
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
+def prime_by_trial_division(q):
+    """Independent primality oracle: no divisor from 2 up to sqrt(q)."""
+    return q >= 2 and all(q % d for d in range(2, math.isqrt(q) + 1))
+
+
+# 40- to 62-bit inputs whose trial division stays short: all small primes,
+# or one large prime cofactor (2**31 - 1) left after the small ones.
+WIDE = [2**40 - 1, 2**48 - 1, 8191 * 131071 * 524287, 10**18,
+        2**29 * (2**31 - 1), 2**61 - 2, 2**32 * (2**30 - 1)]
+
+
 class TestFactorize:
     def test_smallest_input(self):
-        assert factorize(2).pairs == ((2, 1),)
+        assert factorize(2) == ((2, 1),)
 
     def test_twenty_eight(self):
-        assert factorize(28).pairs == ((2, 2), (7, 1))
+        assert factorize(28) == ((2, 2), (7, 1))
 
     def test_8190(self):
-        assert factorize(8190).pairs == ((2, 1), (3, 2), (5, 1), (7, 1), (13, 1))
+        assert factorize(8190) == ((2, 1), (3, 2), (5, 1), (7, 1), (13, 1))
 
     def test_multiply_back(self):
-        for n in range(2, 2000):
-            f = factorize(n)
-            product = 1
-            for q, e in f.pairs:
-                product *= q**e
-            assert product == n
+        for n in [*range(2, 2000), *WIDE]:
+            pairs = factorize(n)
+            primes = [q for q, _ in pairs]
+            assert primes == sorted(set(primes)), n
+            assert all(prime_by_trial_division(q) and e >= 1 for q, e in pairs), n
+            assert math.prod(q**e for q, e in pairs) == n
 
     def test_rejects_small_and_huge(self):
         with pytest.raises(ValueError):
             factorize(1)
         with pytest.raises(ValueError):
             factorize(2**63)
-
-    def test_invalid_factorization_rejected(self):
-        with pytest.raises(ValueError):
-            Factorization(12, ((2, 1), (3, 1)))
-        with pytest.raises(ValueError):
-            Factorization(12, ((3, 1), (2, 2)))
-        with pytest.raises(ValueError):
-            Factorization(8, ((8, 1),))
 
 
 class TestEulerPhi:
