@@ -94,7 +94,9 @@ def primitive_root_scan(p: int, exponents: list) -> list:
     """All g in [2, p-1] passing the order test for every cofactor exponent.
 
     `exponents` holds (p-1)/q for each distinct prime q dividing p-1;
-    g is a primitive root iff no g**exponent lands on 1.
+    g is a primitive root iff no g**exponent lands on 1.  Every exponent
+    is powered here, (p-1)/2 too, so this loop is the independent check
+    of the compiled scan, which reads that one from the square marks.
     """
     roots = []
     for g in range(2, p):

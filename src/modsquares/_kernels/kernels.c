@@ -167,12 +167,20 @@ void msq_legendre_pair_counts(i64 p, int8_t *is_square, i64 *out)
 }
 
 /* is_root[g] = 1 for every g in [2, p-1] with g^e != 1 mod p for all k
-   exponents; is_root holds p zeroed entries. */
+   exponents; is_root holds p zeroed entries and p is an odd prime.  By
+   Euler's criterion g^((p-1)/2) = 1 exactly when g is a nonzero square,
+   so that exponent is answered from the square marks, written into
+   is_root first, instead of by a powmod; g reads its own mark before it
+   overwrites it.  Every other exponent keeps its powmod. */
 void msq_primitive_root_scan(i64 p, const u64 *exponents, i64 k, int8_t *is_root)
 {
+    u64 half = (u64)(p - 1) / 2;
+    mark_squares(p, is_root, 0);
+    is_root[1] = 0; /* 1 is a square, but not a root */
     for (i64 g = 2; g < p; g++) {
         i64 i = 0;
-        while (i < k && powmod((u64)g, exponents[i], (u64)p) != 1)
+        while (i < k && (exponents[i] == half ? !is_root[g]
+                                               : powmod((u64)g, exponents[i], (u64)p) != 1))
             i++;
         is_root[g] = i == k;
     }

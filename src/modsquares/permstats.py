@@ -5,7 +5,9 @@ against uniform permutations of the remaining p - 2 entries.  Under
 that null the inversion count has mean (p-2)(p-3)/4 and variance
 (p-2)(p-3)(2p+1)/72, and the observed mean over all primitive roots
 hits the theoretical mean exactly because inverse roots generate
-mutually reversed cycles.
+mutually reversed cycles.  That reflection also halves the exact work:
+only one root of each inverse pair is walked, and its partner's count
+is the fixed total (p-2)(p-3)/2 minus its own.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import chain
 
 from . import _kernels
 from .modarith import prime_value
-from .primroots import primitive_roots
+from .primroots import _inverse_indices, primitive_roots
 from .rng import RNG_ALGORITHM, SplitMix64, stream_seeds
 
 __all__ = [
@@ -109,24 +111,32 @@ def _sample_sd(spread: int, n: int) -> float:
 def inversion_summary(p: int) -> InversionSummary:
     """Inversion counts of every primitive-root cycle, with both moments.
 
-    Sample statistics use the n-1 denominator.  The sample mean always
-    lands exactly on the theoretical mean: inverse roots give reversed
-    cycles whose counts sum to the fixed total (p-2)(p-3)/2.
+    Sample statistics use the n-1 denominator.  The cycle of g^-1 is 1
+    followed by the tail of g's cycle reversed, so the two counts sum to
+    the fixed total (p-2)(p-3)/2: only the root g <= g^-1 of each pair
+    is walked, and its partner's count is the total minus its own.  The
+    sample mean therefore lands exactly on the theoretical mean.
 
     The kernel counts each cycle while walking it, so no cycle is
     stored, and reports -1 for a walk that is not a (p-1)-cycle.  p must
-    be below 2**32; a larger one would need phi(p-1) walks of more than
-    4e9 states each.
+    be below 2**32; a larger one would need phi(p-1)/2 walks of more
+    than 4e9 states each.
     """
     p = prime_value(p)
     if p >= _CYCLE_LIMIT:
         raise ValueError(f"p must be below 2**32 for root-cycle inversions, got {p}")
     theory_mean, theory_var = inversion_null_moments(p)
     roots = primitive_roots(p)
-    counts = _kernels.cycle_inversions(p, roots)
-    if -1 in counts:
-        g = roots[counts.index(-1)]
+    partners = _inverse_indices(p, roots)
+    walked = [i for i, j in enumerate(partners) if i <= j]
+    walked_counts = _kernels.cycle_inversions(p, [roots[i] for i in walked])
+    if -1 in walked_counts:
+        g = roots[walked[walked_counts.index(-1)]]
         raise RuntimeError(f"primitive root {g} mod {p} did not walk a (p-1)-cycle")
+    total = (p - 2) * (p - 3) // 2
+    counts = [0] * len(roots)
+    for i, c in zip(walked, walked_counts):
+        counts[i], counts[partners[i]] = c, total - c
     return InversionSummary(
         per_root=tuple(zip(roots, counts)),
         sample_mean=Fraction(sum(counts), len(counts)),

@@ -16,7 +16,7 @@ import modsquares
 from modsquares._kernels import KERNELS, LIBRARY, available_backends, backend_module
 from modsquares.modarith import odd_primes_below
 from modsquares.permstats import SimConfig, simulate_inversions
-from modsquares.primroots import primitive_roots
+from modsquares.primroots import factorize, primitive_roots
 from modsquares.rng import SplitMix64, stream_seeds
 from modsquares.runstats import PairCounts, aladov_predicted, legendre_sequence, pair_counts, simulate_runs
 
@@ -100,8 +100,11 @@ PARITY_INPUTS = {
     # both classes mod 4 (13, 17 and 9973 are 1 mod 4; 19, 8191 and 99991
     # are 3 mod 4) and the non-prime corners
     "legendre_pair_counts": [(p,) for p in (1, 2, 3, 5, 7, 9, 11, 13, 15, 17, 19, 8191, 9973, 99991)],
-    # the exponents are (p-1)/q for each prime q dividing p-1
-    "primitive_root_scan": [(11, [5, 2]), (29, [14, 4]), (97, [48, 32]), (3, [1]), (9973, [4986, 3324, 36])],
+    # the exponents are (p-1)/q for each prime q dividing p-1; the compiled
+    # scan answers (p-1)/2 from the square marks, so single exponents with
+    # and without it and the benchmark's safe primes p = 2q + 1 are here
+    "primitive_root_scan": [(11, [5, 2]), (29, [14, 4]), (97, [48, 32]), (3, [1]), (9973, [4986, 3324, 36]),
+                            (97, [32]), (97, [48]), (5, [2]), (55787, [27893, 2])],
     "multiplier_orbit": _orbits(),
     "cycle_inversions": list(_root_cycles()),
     "simulate_inversion_counts": [(27, 300, 555)],
@@ -137,6 +140,11 @@ class TestBackendParity:
             assert mod.cycle_inversions(11, [3, 2]) == [-1, 15]
             assert mod.cycle_inversions(11, [10, 1, 0, 11, 13]) == [-1, -1, -1, -1, 15]
             assert mod.cycle_inversions(29, []) == []
+
+    def test_primitive_root_scan_on_every_odd_prime_below_5000(self, compiled):
+        for p in odd_primes_below(5000):
+            exponents = [(p - 1) // q for q, _ in factorize(p - 1)]
+            assert compiled.primitive_root_scan(p, exponents) == pure.primitive_root_scan(p, exponents), p
 
     def test_orbit_cap_raises_in_both(self, compiled):
         for mod in (compiled, pure):

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modsquares import KERNEL_BACKEND, permstats
+from modsquares import KERNEL_BACKEND, cli, permstats, primroots
 from modsquares.genseq import generator_cycle
 from modsquares.modarith import odd_primes_below
 from modsquares.permstats import (
@@ -140,6 +140,48 @@ class TestInversionSummary:
             expected = [(g, count_inversions(generator_cycle(g, p).states)) for g in primitive_roots(p)]
             assert list(inversion_summary(p).per_root) == expected, p
 
+    def test_walks_one_root_of_each_inverse_pair(self):
+        received, real = [], permstats._kernels.cycle_inversions
+
+        def spy(p, roots):
+            received.append(list(roots))
+            return real(p, roots)
+
+        with mock.patch.object(permstats._kernels, "cycle_inversions", spy):
+            for p in odd_primes_below(200):
+                if p < 5:
+                    continue
+                received.clear()
+                inversion_summary(p)
+                expected = [g for g in primitive_roots(p) if g <= pow(g, -1, p)]
+                assert received == [expected], p
+                assert len(expected) == euler_phi(p - 1) // 2, p
+
+    def test_a_root_missing_from_the_table_is_an_internal_error(self, monkeypatch, capsys):
+        def drop_last(p):
+            return primitive_roots(p)[:-1]
+
+        monkeypatch.setattr(permstats, "primitive_roots", drop_last)
+        monkeypatch.setattr(primroots, "primitive_roots", drop_last)
+        with pytest.raises(RuntimeError, match="inverse 27 of primitive root 14 mod 29 is not a root"):
+            inversion_summary(29)
+        with pytest.raises(RuntimeError, match="mod 29 is not a root"):
+            inverse_pairs(29)
+        assert cli.main(["inversions", "--p", "29"]) == cli.ExitStatus.INTERNAL
+        assert "is not a root" in capsys.readouterr().err
+
+    def test_a_walk_that_is_not_a_cycle_names_its_root(self):
+        received = []
+
+        def fail_third(p, roots):
+            received.extend(roots)
+            return [-1 if i == 2 else 0 for i in range(len(roots))]
+
+        with mock.patch.object(permstats._kernels, "cycle_inversions", fail_third):
+            with pytest.raises(RuntimeError) as excinfo:
+                inversion_summary(29)
+        assert str(excinfo.value) == f"primitive root {received[2]} mod 29 did not walk a (p-1)-cycle"
+
     def test_sample_mean_always_equals_theory_mean(self):
         for p in odd_primes_below(100):
             if p < 5:
@@ -149,6 +191,10 @@ class TestInversionSummary:
 
 
 def test_inverse_pair_counts_sum_to_total():
+    """Holds by construction: `inversion_summary` walks one root of each
+    pair and fills its partner as the total minus its count.  The walked
+    and the filled counts are checked against the cycles themselves by
+    `test_per_root_counts_match_the_validated_cycles`."""
     for p in odd_primes_below(100):
         if p < 5:
             continue
@@ -320,11 +366,24 @@ class TestMomentsFromIntegerSums:
             SimReport.from_counts(iter([4, 5]), SimConfig(seed=1, iterations=3))
 
     @given(st.sampled_from([5, 11, 29, 61]).flatmap(
-        lambda p: st.tuples(st.just(p), st.lists(st.integers(0, 2**62), min_size=euler_phi(p - 1),
-                                                 max_size=euler_phi(p - 1)))))
+        lambda p: st.tuples(st.just(p), st.lists(st.integers(0, 2**62), min_size=euler_phi(p - 1) // 2,
+                                                 max_size=euler_phi(p - 1) // 2))))
     def test_inversion_summary_sd(self, case):
-        p, counts = case
-        with mock.patch.object(permstats._kernels, "cycle_inversions", lambda p, roots: counts):
+        # the kernel gets one root of each inverse pair; each partner's count
+        # is the total minus the walked one, so the counts span about +-2**62
+        p, walked = case
+        received = []
+
+        def kernel(p, roots):
+            received.extend(roots)
+            return walked
+
+        with mock.patch.object(permstats._kernels, "cycle_inversions", kernel):
             summary = inversion_summary(p)
-        assert summary.sample_mean == Fraction(sum(counts), len(counts))
+        total = (p - 2) * (p - 3) // 2
+        expected = {g: c for g, c in zip(received, walked)}
+        expected.update({pow(g, -1, p): total - c for g, c in zip(received, walked)})
+        assert dict(summary.per_root) == expected
+        counts = summary.counts()
+        assert summary.sample_mean == Fraction(sum(counts), len(counts)) == summary.theory_mean
         assert summary.sample_sd == fraction_moments(counts)[1]
